@@ -72,7 +72,7 @@ def parse_matrix_csv(text: str) -> DecisionMatrix:
     if not dir_row or dir_row[0].lower() != "direction":
         raise MalformedHeader("second line must start with 'direction'")
     if len(dir_row) - 1 != len(names):
-        raise RaggedRow("direction row length does not match header")
+        raise RaggedRow("line 2: direction row length does not match header")
     directions = []
     for tok in dir_row[1:]:
         key = tok.strip().lower()
@@ -81,10 +81,10 @@ def parse_matrix_csv(text: str) -> DecisionMatrix:
         directions.append(_DIRECTION_TOKENS[key])
 
     alternatives, values = [], []
-    for line in lines[2:]:
+    for lineno, line in enumerate(lines[2:], start=3):
         parts = line.split(",")
         if len(parts) - 1 != len(names):
-            raise RaggedRow("data row length does not match header")
+            raise RaggedRow(f"line {lineno}: data row length does not match header")
         if not parts[0]:
             raise MalformedHeader("alternative label must be non-empty")
         alternatives.append(parts[0])

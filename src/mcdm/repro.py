@@ -15,8 +15,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from scipy.stats import kendalltau
-
 from .errors import McdmError
 from .model import (
     Criterion,
@@ -205,6 +203,23 @@ def _config_weights(config: ReproConfig, matrix: DecisionMatrix):
     return equal_weights(matrix.n)
 
 
+def _kendall_tau(a: list[int], b: list[int]) -> float:
+    """Kendall's tau-a: (concordant - discordant pairs) / (n * (n - 1) / 2).
+
+    Both rank vectors compared here are untied (computed ranks form a
+    permutation and the published ranks are distinct), so tau-a equals the
+    tau-b of statistics libraries. The pair count is an exact integer and is
+    divided once, so the result is the correctly rounded ratio.
+    """
+    n = len(a)
+    score = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = (a[i] - a[j]) * (b[i] - b[j])
+            score += (d > 0) - (d < 0)
+    return score / (n * (n - 1) / 2)
+
+
 def reproduce(config: ReproConfig) -> ConfigReport:
     """Run one configuration and measure its fit against the published table.
 
@@ -230,11 +245,7 @@ def reproduce(config: ReproConfig) -> ConfigReport:
 
     deltas = [abs(got.closeness - want.closeness) for got, want in pairs]
     matches = sum(1 for got, want in pairs if got.rank == want.rank)
-    tau = float(
-        kendalltau(
-            [got.rank for got, _ in pairs], [want.rank for _, want in pairs]
-        ).correlation
-    )
+    tau = _kendall_tau([got.rank for got, _ in pairs], [want.rank for _, want in pairs])
     return ConfigReport(
         config=config,
         status="ok",

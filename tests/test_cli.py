@@ -120,3 +120,16 @@ def test_byte_stable_across_runs(argv):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # non-empty
+
+
+def test_cold_import_loads_no_scipy():
+    # Every CLI call imports mcdm.repro; keep the heavy scipy import off that path.
+    code = (
+        "import sys, mcdm, mcdm.cli, mcdm.repro; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -52,8 +52,12 @@ def test_ragged_row():
     header = "," + ",".join(f"c{j}" for j in range(11))
     dirs = "direction," + ",".join(["benefit"] * 11)
     row = "a," + ",".join(["1.0"] * 10)
-    with pytest.raises(RaggedRow):
+    with pytest.raises(RaggedRow, match="line 3"):
         parse_matrix_csv("\n".join([header, dirs, row]) + "\n")
+    with pytest.raises(RaggedRow, match="line 2"):
+        parse_matrix_csv(",c0,c1\ndirection,benefit\na,1.0,1.0\n")
+    with pytest.raises(RaggedRow, match="line 5"):
+        parse_matrix_csv(",c0\ndirection,cost\na,1.0\nb,2.0\nc,1.0,3.0\n")
 
 
 def test_malformed_header():

@@ -10,6 +10,7 @@ from mcdm.repro import (
     ReproConfig,
     RowSubset,
     WeightMethod,
+    _kendall_tau,
     all_configs,
     builtin_expected,
     builtin_fixture,
@@ -161,9 +162,22 @@ def test_kendall_tau_matches_oracle():
         else:
             computed = [r.rank for r in result.rows]
         want = [r.rank for r in expected.rows[: len(computed)]]
-        assert e.kendall_tau == pytest.approx(
-            kendall_tau_oracle(computed, want), abs=1e-12
-        )
+        assert e.kendall_tau == kendall_tau_oracle(computed, want)
+
+
+@pytest.mark.parametrize(
+    "a, b, tau",
+    [
+        (list(range(1, 10)), list(range(1, 10)), 1.0),
+        (list(range(1, 12)), list(range(11, 0, -1)), -1.0),
+        ([1, 2], [1, 2], 1.0),
+        ([1, 2], [2, 1], -1.0),
+        ([3, 7, 1, 11, 5, 2, 9, 4, 10, 6, 8], list(range(1, 12)), 13 / 55),
+    ],
+)
+def test_kendall_tau_direct(a, b, tau):
+    assert _kendall_tau(a, b) == tau
+    assert _kendall_tau(a, b) == kendall_tau_oracle(a, b)
 
 
 def test_committed_artifact_current():
@@ -173,6 +187,13 @@ def test_committed_artifact_current():
 
     artifact = Path(__file__).resolve().parent.parent / "docs" / "repro_report.json"
     assert artifact.read_text() == export_json(run_sweep())
+
+
+def test_committed_text_report_current():
+    from pathlib import Path
+
+    artifact = Path(__file__).resolve().parent.parent / "docs" / "repro_report.txt"
+    assert artifact.read_text() == render_repro_table(run_sweep())
 
 
 def test_render_and_json():
