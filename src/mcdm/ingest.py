@@ -1,11 +1,14 @@
 """Decision-matrix CSV parsing/serialization and Likert survey aggregation.
 
-Matrix CSV grammar (UTF-8, LF or CRLF, no quoting):
+Matrix CSV grammar (UTF-8 with or without a BOM, LF or CRLF, no quoting):
     line 1:  ,<crit1>,<crit2>,...
     line 2:  direction,<benefit|cost>,...      (case-insensitive tokens)
     line 3+: <alternative>,<v1>,<v2>,...
 
 Survey CSV: ``group,item,rating`` header, one response per line.
+
+Errors in a data row name its 1-based line, and a bad matrix cell also its
+1-based column (the alternative label is column 1).
 """
 from __future__ import annotations
 
@@ -42,19 +45,20 @@ class SurveyResponse:
 
 
 def _lines(text: str) -> list[str]:
+    text = text.removeprefix("\ufeff")  # spreadsheet tools write a leading BOM
     lines = text.replace("\r\n", "\n").split("\n")
     while lines and lines[-1] == "":
         lines.pop()
     return lines
 
 
-def _parse_value(token: str) -> float:
+def _parse_value(token: str, where: str = "") -> float:
     try:
         v = float(token)
     except ValueError:
-        raise InvalidValue(f"not a decimal number: {token!r}") from None
+        raise InvalidValue(f"{where}not a decimal number: {token!r}") from None
     if not math.isfinite(v) or v < 0:
-        raise InvalidValue("matrix values must be finite and nonnegative")
+        raise InvalidValue(f"{where}matrix values must be finite and nonnegative")
     return v
 
 
@@ -74,10 +78,12 @@ def parse_matrix_csv(text: str) -> DecisionMatrix:
     if len(dir_row) - 1 != len(names):
         raise RaggedRow("line 2: direction row length does not match header")
     directions = []
-    for tok in dir_row[1:]:
+    for column, tok in enumerate(dir_row[1:], start=2):
         key = tok.strip().lower()
         if key not in _DIRECTION_TOKENS:
-            raise UnknownDirectionToken(f"unknown direction token: {tok!r}")
+            raise UnknownDirectionToken(
+                f"line 2, column {column}: unknown direction token: {tok!r}"
+            )
         directions.append(_DIRECTION_TOKENS[key])
 
     alternatives, values = [], []
@@ -86,9 +92,15 @@ def parse_matrix_csv(text: str) -> DecisionMatrix:
         if len(parts) - 1 != len(names):
             raise RaggedRow(f"line {lineno}: data row length does not match header")
         if not parts[0]:
-            raise MalformedHeader("alternative label must be non-empty")
+            raise MalformedHeader(f"line {lineno}: alternative label must be non-empty")
         alternatives.append(parts[0])
-        values.append([_parse_value(tok) for tok in parts[1:]])
+        try:
+            values.append([_parse_value(tok) for tok in parts[1:]])
+        except InvalidValue:
+            # Only on failure: parse the row again cell by cell to name the bad cell.
+            for column, tok in enumerate(parts[1:], start=2):
+                _parse_value(tok, f"line {lineno}, column {column}: ")
+            raise
 
     criteria = [Criterion(n, d) for n, d in zip(names, directions)]
     return new_matrix(alternatives, criteria, values)
@@ -114,14 +126,14 @@ def parse_survey_csv(text: str, group_column: str = "group") -> list[SurveyRespo
     if lines[0].split(",") != [group_column, "item", "rating"]:
         raise MalformedHeader(f"survey header must be '{group_column},item,rating'")
     responses = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 3:
-            raise RaggedRow("survey rows must have exactly three fields")
+            raise RaggedRow(f"line {lineno}: survey rows must have exactly three fields")
         try:
             rating = float(parts[2])
         except ValueError:
-            raise InvalidValue(f"not a decimal number: {parts[2]!r}") from None
+            raise InvalidValue(f"line {lineno}: not a decimal number: {parts[2]!r}") from None
         responses.append(SurveyResponse(parts[0], parts[1], rating))
     return responses
 

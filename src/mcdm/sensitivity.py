@@ -9,14 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import (
     DegenerateAlternative,
     DegenerateBase,
     OutOfRange,
     TooFewAlternatives,
 )
-from .model import DecisionMatrix, TopsisResult, WeightVector, new_matrix
-from .topsis import topsis_rank
+from .model import DecisionMatrix, WeightVector, new_matrix
+from .topsis import _batch_topsis, _benefit_mask, _unit_columns, topsis_rank
 
 DEFAULT_STEP = 0.01
 DEFAULT_MAX_DELTA = 0.25
@@ -101,21 +103,28 @@ def rank_stability(
         deltas.extend([k * step, -k * step])
     deltas.sort(key=lambda d: (abs(d), -d))  # smallest magnitude first, + before -
 
+    unit = _unit_columns(matrix.to_array())
+    benefit = _benefit_mask(matrix.directions)
     sweeps = []
     preserved = 0
     total = 0
     for j, criterion in enumerate(matrix.criteria):
-        grid = []
-        flip: float | None = None
+        # One kernel call per criterion keeps the (k, m, n) temporaries small.
+        feasible, rows = [], []
         for delta in deltas:
             try:
                 perturbed = perturb_weights(weights, j, delta)
             except (OutOfRange, DegenerateBase):
                 continue
-            ranks = tuple(topsis_rank(matrix, perturbed).ranks())
-            grid.append(GridPoint(delta=delta, ranks=ranks))
+            feasible.append(delta)
+            rows.append(perturbed.weights)
+        ranks = _batch_topsis(unit, np.array(rows), benefit)[3].tolist() if rows else []
+        grid = []
+        flip: float | None = None
+        for delta, point in zip(feasible, map(tuple, ranks)):
+            grid.append(GridPoint(delta=delta, ranks=point))
             total += 1
-            if ranks.index(1) == base_top:
+            if point.index(1) == base_top:
                 preserved += 1
             elif flip is None or abs(delta) < flip:
                 flip = abs(delta)
@@ -133,12 +142,6 @@ def rank_stability(
     )
 
 
-def _pair_order(result: TopsisResult, a: str, b: str) -> bool:
-    """True when a ranks strictly better than b."""
-    by_label = {r.alternative: r.rank for r in result.rows}
-    return by_label[a] < by_label[b]
-
-
 def leave_one_out(
     matrix: DecisionMatrix,
     weights: WeightVector,
@@ -151,29 +154,33 @@ def leave_one_out(
     """
     if matrix.m < 3:
         raise TooFewAlternatives("leave-one-out needs at least three alternatives")
-    baseline = topsis_rank(matrix, weights)
+    baseline = np.array(topsis_rank(matrix, weights).ranks())
+    x = matrix.to_array()
+    benefit = _benefit_mask(matrix.directions)
+    w = weights.to_array()[None, :]
 
     effects = []
     for k, removed in enumerate(matrix.alternatives):
-        labels = [a for i, a in enumerate(matrix.alternatives) if i != k]
-        values = [row for i, row in enumerate(matrix.values) if i != k]
-        reduced = new_matrix(labels, matrix.criteria, values)
-        w = reweight(reduced) if reweight is not None else weights
+        labels = matrix.alternatives[:k] + matrix.alternatives[k + 1 :]
+        values = np.delete(x, k, axis=0)
+        if reweight is not None:
+            reduced = new_matrix(labels, matrix.criteria, values.tolist())
+            w = reweight(reduced).to_array()[None, :]
+        unit = _unit_columns(values)
         try:
-            result = topsis_rank(reduced, w)
+            ranks = _batch_topsis(unit, w, benefit)[3][0]
         except DegenerateAlternative:
             effects.append(
                 RemovalEffect(removed=removed, reversed_pairs=(), degenerate=True)
             )
             continue
-        reversed_pairs = []
-        for x in range(len(labels)):
-            for y in range(x + 1, len(labels)):
-                a, b = labels[x], labels[y]
-                if _pair_order(baseline, a, b) != _pair_order(result, a, b):
-                    pair = (a, b) if _pair_order(baseline, a, b) else (b, a)
-                    reversed_pairs.append(pair)
-        effects.append(
-            RemovalEffect(removed=removed, reversed_pairs=tuple(reversed_pairs))
+        # Survivor pairs, earlier input index first, whose relative order flipped.
+        base = np.delete(baseline, k)
+        before = base[:, None] < base
+        flipped = np.triu(before != (ranks[:, None] < ranks), 1)
+        reversed_pairs = tuple(
+            (labels[a], labels[b]) if before[a, b] else (labels[b], labels[a])
+            for a, b in zip(*(i.tolist() for i in np.nonzero(flipped)))
         )
+        effects.append(RemovalEffect(removed=removed, reversed_pairs=reversed_pairs))
     return LeaveOneOutReport(effects=tuple(effects))

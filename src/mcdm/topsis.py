@@ -43,13 +43,52 @@ class IdealPoints:
     anti_ideal: tuple[float, ...]
 
 
-def vector_normalize(matrix: DecisionMatrix) -> NormalizedMatrix:
-    """Divide every column by its Euclidean norm."""
-    x = matrix.to_array()
+def _unit_columns(x: np.ndarray) -> np.ndarray:
+    """Divide every column of an (m, n) array by its Euclidean norm."""
     norms = np.sqrt((x * x).sum(axis=0))
     if np.any(norms == 0):
         raise ZeroColumn("cannot normalize an all-zero column")
-    r = x / norms
+    return x / norms
+
+
+def _distances(weighted: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each (k, m, n) row from its (k, n) reference point."""
+    diff = weighted - points[:, None, :]
+    return np.sqrt(np.square(diff, out=diff).sum(axis=2))
+
+
+def _batch_topsis(
+    unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """TOPSIS for a (k, n) stack of weight rows over one unit-column (m, n) array.
+
+    Returns s_plus, s_minus, closeness and ranks, each (k, m). Every
+    elementwise operation and every reduction axis matches the staged
+    functions below, so each row is bit-identical to a single evaluation.
+    """
+    if weights.shape[1] != unit.shape[1]:
+        raise DimensionMismatch("weight count does not match criterion count")
+    weighted = unit * weights[:, None, :]
+    high, low = weighted.max(axis=1), weighted.min(axis=1)
+    s_plus = _distances(weighted, np.where(benefit, high, low))
+    s_minus = _distances(weighted, np.where(benefit, low, high))
+    total = s_plus + s_minus
+    if np.any(total <= 0):
+        raise DegenerateAlternative("closeness undefined when both separations are zero")
+    c = s_minus / total
+    order = np.argsort(-c, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, c.shape[1] + 1), axis=1)
+    return s_plus, s_minus, c, ranks
+
+
+def _benefit_mask(directions: Sequence[Direction]) -> np.ndarray:
+    return np.array([d is Direction.BENEFIT for d in directions])
+
+
+def vector_normalize(matrix: DecisionMatrix) -> NormalizedMatrix:
+    """Divide every column by its Euclidean norm."""
+    r = _unit_columns(matrix.to_array())
     return NormalizedMatrix(
         alternatives=matrix.alternatives,
         criteria=matrix.criteria,
@@ -118,16 +157,13 @@ def topsis_rank(matrix: DecisionMatrix, weights: WeightVector) -> TopsisResult:
     """Full pipeline; result rows stay in input alternative order."""
     if matrix.m < 2:
         raise DegenerateAlternative("TOPSIS needs at least two alternatives")
-    normalized = vector_normalize(matrix)
-    weighted = apply_weights(normalized, weights)
-    points = ideal_points(weighted, matrix.directions)
-    seps = separations(weighted, points)
-    cis = [closeness(p, m) for p, m in seps]
-    ranks = rank(cis)
+    unit = _unit_columns(matrix.to_array())
+    columns = _batch_topsis(
+        unit, weights.to_array()[None, :], _benefit_mask(matrix.directions)
+    )
+    s_plus, s_minus, cis, ranks = (a[0].tolist() for a in columns)
     rows = tuple(
-        TopsisRow(
-            alternative=label, s_plus=p, s_minus=m, closeness=c, rank=r
-        )
-        for label, (p, m), c, r in zip(matrix.alternatives, seps, cis, ranks)
+        TopsisRow(alternative=label, s_plus=p, s_minus=m, closeness=c, rank=r)
+        for label, p, m, c, r in zip(matrix.alternatives, s_plus, s_minus, cis, ranks)
     )
     return TopsisResult(rows=rows)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,20 @@ def test_byte_stable_across_runs(argv):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # non-empty
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "fmt, golden",
+    [("table", "sensitivity_table1.txt"), ("json", "sensitivity_table1.json")],
+)
+def test_sensitivity_matches_golden_bytes(fmt, golden):
+    # Captured from the looped sweep; the default grid on the bundled fixture.
+    proc = _run_process("sensitivity", "--input", str(fixture_csv_path()), "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
 
 
 def test_cold_import_loads_no_scipy():

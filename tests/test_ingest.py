@@ -44,8 +44,8 @@ def test_direction_tokens_case_insensitive():
 
 
 def test_unknown_direction_token():
-    with pytest.raises(UnknownDirectionToken):
-        parse_matrix_csv(",c1\ndirection,NB\na,2.0\n")
+    with pytest.raises(UnknownDirectionToken, match=r"^line 2, column 3: .*'NB'$"):
+        parse_matrix_csv(",c1,c2\ndirection,cost,NB\na,2.0,1.0\n")
 
 
 def test_ragged_row():
@@ -60,9 +60,37 @@ def test_ragged_row():
         parse_matrix_csv(",c0\ndirection,cost\na,1.0\nb,2.0\nc,1.0,3.0\n")
 
 
+def test_bad_cell_names_line_and_column():
+    with pytest.raises(InvalidValue, match=r"^line 4, column 3: not a decimal number: 'x'$"):
+        parse_matrix_csv(",c1,c2\ndirection,benefit,cost\na,1,2\nb,3,x\n")
+    with pytest.raises(InvalidValue, match=r"^line 3, column 2: matrix values must be finite"):
+        parse_matrix_csv(",c1\ndirection,benefit\na,inf\n")
+
+
+def test_survey_errors_name_line():
+    with pytest.raises(RaggedRow, match=r"^line 3: survey rows must have exactly three fields$"):
+        parse_survey_csv("group,item,rating\ng1,q1,4\ng1,q2\n")
+    with pytest.raises(InvalidValue, match=r"^line 2: not a decimal number: 'x'$"):
+        parse_survey_csv("group,item,rating\ng1,q1,x\n")
+
+
+def test_leading_bom_stripped():
+    bom = "\ufeff"
+    m = parse_matrix_csv(bom + ",c1\ndirection,benefit\na,2.0\nb,1.0\n")
+    assert m == parse_matrix_csv(",c1\ndirection,benefit\na,2.0\nb,1.0\n")
+    assert m.criteria[0].name == "c1"
+    responses = parse_survey_csv(bom + "group,item,rating\r\ng1,q1,4\r\n")
+    assert responses == [SurveyResponse("g1", "q1", 4.0)]
+    # only one leading BOM is stripped; a second is part of the header
+    with pytest.raises(MalformedHeader):
+        parse_matrix_csv(bom + bom + ",c1\ndirection,benefit\na,2.0\n")
+
+
 def test_malformed_header():
     with pytest.raises(MalformedHeader):
         parse_matrix_csv("c1,c2\ndirection,benefit\na,2.0\n")
+    with pytest.raises(MalformedHeader, match=r"^line 4: alternative label"):
+        parse_matrix_csv(",c1\ndirection,benefit\na,2.0\n,1.0\n")
 
 
 def test_negative_value_rejected():

@@ -1,10 +1,30 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcdm.errors import DegenerateBase, OutOfRange, TooFewAlternatives
+import mcdm.sensitivity
+from mcdm.errors import (
+    DegenerateAlternative,
+    DegenerateBase,
+    DimensionMismatch,
+    McdmError,
+    OutOfRange,
+    TooFewAlternatives,
+    ZeroColumn,
+)
 from mcdm.model import Criterion, Direction, WeightVector, new_matrix
-from mcdm.sensitivity import leave_one_out, perturb_weights, rank_stability
+from mcdm.sensitivity import (
+    CriterionSweep,
+    GridPoint,
+    LeaveOneOutReport,
+    RemovalEffect,
+    SensitivityReport,
+    leave_one_out,
+    perturb_weights,
+    rank_stability,
+)
 from mcdm.topsis import topsis_rank
-from mcdm.weighting import equal_weights
+from mcdm.weighting import equal_weights, std_dev_weights
 
 from .conftest import random_matrix
 
@@ -185,3 +205,200 @@ class TestLeaveOneOut:
                 reduced = topsis_rank(new_matrix(labels, dom.criteria, values_r), weights)
                 top = [r for r in reduced.rows if r.rank == 1][0]
                 assert top.alternative == dom.alternatives[0]
+
+
+@st.composite
+def tie_prone(draw):
+    """Small matrices of integers 0-3 with repeated rows, and weights with zeros."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n)
+    pool = draw(st.lists(row, min_size=2, max_size=5))
+    values = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=8))
+    criteria = [
+        Criterion(f"c{j}", draw(st.sampled_from([B, C]))) for j in range(n)
+    ]
+    matrix = new_matrix([f"a{i}" for i in range(len(values))], criteria, values)
+    raw = draw(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    )
+    return matrix, w(*(v / sum(raw) for v in raw))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except McdmError as e:
+        return type(e)
+
+
+def _stability_loop(matrix, weights, step, max_delta):
+    """rank_stability as one topsis_rank call per grid point."""
+    baseline = topsis_rank(matrix, weights).ranks()
+    deltas = []
+    for k in range(1, int(round(max_delta / step)) + 1):
+        deltas.extend([k * step, -k * step])
+    deltas.sort(key=lambda d: (abs(d), -d))
+    sweeps, preserved, total = [], 0, 0
+    for j, criterion in enumerate(matrix.criteria):
+        grid, flip = [], None
+        for delta in deltas:
+            try:
+                perturbed = perturb_weights(weights, j, delta)
+            except (OutOfRange, DegenerateBase):
+                continue
+            ranks = topsis_rank(matrix, perturbed).ranks()
+            grid.append(GridPoint(delta=delta, ranks=ranks))
+            total += 1
+            if ranks.index(1) == baseline.index(1):
+                preserved += 1
+            elif flip is None or abs(delta) < flip:
+                flip = abs(delta)
+        sweeps.append(CriterionSweep(criterion.name, flip, tuple(grid)))
+    return SensitivityReport(
+        tuple(sweeps), baseline, preserved / total if total else 1.0, step, max_delta
+    )
+
+
+def _without(matrix, k):
+    labels = [a for i, a in enumerate(matrix.alternatives) if i != k]
+    values = [row for i, row in enumerate(matrix.values) if i != k]
+    return new_matrix(labels, matrix.criteria, values)
+
+
+def _leave_one_out_loop(matrix, weights, reweight=None):
+    """leave_one_out as one topsis_rank call and one rank comparison per pair."""
+    base = dict(zip(matrix.alternatives, topsis_rank(matrix, weights).ranks()))
+    effects = []
+    for k, removed in enumerate(matrix.alternatives):
+        reduced = _without(matrix, k)
+        w_k = reweight(reduced) if reweight is not None else weights
+        try:
+            now = dict(zip(reduced.alternatives, topsis_rank(reduced, w_k).ranks()))
+        except DegenerateAlternative:
+            effects.append(RemovalEffect(removed, (), degenerate=True))
+            continue
+        labels, pairs = reduced.alternatives, []
+        for x in range(len(labels)):
+            for y in range(x + 1, len(labels)):
+                a, b = labels[x], labels[y]
+                if (base[a] < base[b]) != (now[a] < now[b]):
+                    pairs.append((a, b) if base[a] < base[b] else (b, a))
+        effects.append(RemovalEffect(removed, tuple(pairs)))
+    return LeaveOneOutReport(tuple(effects))
+
+
+class TestBatchedEquivalence:
+    """The batched sweeps equal one topsis_rank call per evaluation, errors included."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tie_prone(), st.sampled_from([(0.05, 0.25), (0.1, 0.5), (0.25, 1.0)]))
+    def test_rank_stability(self, case, grid):
+        matrix, weights = case
+        report = _outcome(lambda: rank_stability(matrix, weights, *grid))
+        assert report == _outcome(lambda: _stability_loop(matrix, weights, *grid))
+        if isinstance(report, SensitivityReport):
+            for sweep in report.criteria:
+                assert all(type(r) is int for p in sweep.grid for r in p.ranks)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tie_prone(), st.sampled_from([None, std_dev_weights]))
+    def test_leave_one_out(self, case, reweight):
+        matrix, weights = case
+        assert _outcome(lambda: leave_one_out(matrix, weights, reweight)) == _outcome(
+            lambda: _leave_one_out_loop(matrix, weights, reweight)
+        )
+
+
+class TestSweepErrors:
+    def test_zero_column_after_removal_propagates(self):
+        # c1 is nonzero only in row "c"; removing it leaves an all-zero column
+        m = new_matrix(
+            ["a", "b", "c"],
+            [Criterion("c1", B), Criterion("c2", B)],
+            [[0.0, 1.0], [0.0, 2.0], [3.0, 1.0]],
+        )
+        with pytest.raises(ZeroColumn):
+            leave_one_out(m, w(0.5, 0.5))
+
+    def test_degenerate_removal_is_marked(self):
+        # without "c" the survivors are identical
+        m = new_matrix(
+            ["a", "b", "c"],
+            [Criterion("c1", B), Criterion("c2", C)],
+            [[1.0, 2.0], [1.0, 2.0], [3.0, 1.0]],
+        )
+        effects = leave_one_out(m, w(0.5, 0.5)).effects
+        assert [e.degenerate for e in effects] == [False, False, True]
+        assert effects[2].reversed_pairs == ()
+
+    def test_degenerate_grid_point_propagates(self):
+        # at delta +0.1 all weight sits on the constant column c1
+        m = new_matrix(
+            ["a", "b"], [Criterion("c1", B), Criterion("c2", B)], [[1.0, 2.0], [1.0, 3.0]]
+        )
+        with pytest.raises(DegenerateAlternative):
+            rank_stability(m, w(0.9, 0.1), step=0.05, max_delta=0.1)
+
+    def test_weight_count_mismatch(self):
+        m = new_matrix(
+            ["a", "b", "c"],
+            [Criterion("c1", B), Criterion("c2", B)],
+            [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]],
+        )
+        with pytest.raises(DimensionMismatch):
+            rank_stability(m, w(1.0))
+        with pytest.raises(DimensionMismatch):
+            leave_one_out(m, w(1.0))
+        with pytest.raises(DimensionMismatch):
+            leave_one_out(m, w(0.5, 0.5), reweight=lambda reduced: w(1.0))
+
+
+class TestReweight:
+    def test_reweight_sees_each_reduced_matrix(self, rng):
+        m = random_matrix(rng, m=6, n=3)
+        seen = []
+
+        def reweight(reduced):
+            seen.append(reduced)
+            return std_dev_weights(reduced)
+
+        report = leave_one_out(m, equal_weights(3), reweight=reweight)
+        assert seen == [_without(m, k) for k in range(m.m)]
+        assert report == _leave_one_out_loop(m, equal_weights(3), std_dev_weights)
+
+    def test_reweighted_vector_is_used(self):
+        # equal weights put "a" first; weighting only c1 puts "b" ahead of it
+        m = new_matrix(
+            ["a", "b", "c"],
+            [Criterion("c1", B), Criterion("c2", B)],
+            [[1.0, 9.0], [2.0, 1.0], [0.5, 0.5]],
+        )
+        fixed = leave_one_out(m, equal_weights(2))
+        assert not fixed.any_reversal
+        reweighted = leave_one_out(m, equal_weights(2), reweight=lambda r: w(1.0, 0.0))
+        assert [e.reversed_pairs for e in reweighted.effects] == [(), (), (("a", "b"),)]
+
+
+class TestCallCount:
+    """The sweeps evaluate the grid in batches; topsis_rank runs only for the baseline."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = []
+        real = mcdm.sensitivity.topsis_rank
+
+        def counting(*args, **kwargs):
+            count.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mcdm.sensitivity, "topsis_rank", counting)
+        return count
+
+    def test_rank_stability(self, calls, rng):
+        report = rank_stability(random_matrix(rng, m=8, n=4), equal_weights(4))
+        assert sum(len(c.grid) for c in report.criteria) > 1
+        assert len(calls) <= 1
+
+    def test_leave_one_out(self, calls, rng):
+        leave_one_out(random_matrix(rng, m=8, n=4), equal_weights(4))
+        assert len(calls) <= 1

@@ -161,6 +161,32 @@ def test_topsis_matches_oracle(rng):
             assert row.rank == rk[i]
 
 
+@pytest.mark.parametrize("shape", [None, (200, 10), (1000, 20)])
+def test_topsis_rank_equals_staged_functions_exactly(rng, shape):
+    # topsis_rank runs the batched kernel; the public stages are the reference.
+    for _ in range(100 if shape is None else 2):
+        m = random_matrix(rng) if shape is None else random_matrix(rng, *shape)
+        w = std_dev_weights(m)
+        weighted = apply_weights(vector_normalize(m), w)
+        seps = separations(weighted, ideal_points(weighted, m.directions))
+        cis = [closeness(p, q) for p, q in seps]
+        assert [(r.s_plus, r.s_minus) for r in topsis_rank(m, w).rows] == seps
+        assert list(topsis_rank(m, w).closenesses()) == cis
+        assert list(topsis_rank(m, w).ranks()) == rank(cis)
+
+
+def test_topsis_rank_exact_ties_go_to_earlier_index():
+    m = new_matrix(
+        [f"a{i}" for i in range(40)],
+        [Criterion("c1", B), Criterion("c2", C)],
+        [[1.0, 2.0], [3.0, 1.0]] * 20,
+    )
+    result = topsis_rank(m, equal_weights(2))
+    assert len(set(result.closenesses())) == 2
+    assert result.ranks()[1::2] == tuple(range(1, 21))  # the tied (3, 1) rows
+    assert result.ranks()[0::2] == tuple(range(21, 41))  # the tied (1, 2) rows
+
+
 def test_closeness_in_unit_interval(rng):
     for _ in range(50):
         m = random_matrix(rng)
