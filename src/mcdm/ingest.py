@@ -113,7 +113,7 @@ def serialize_matrix_csv(matrix: DecisionMatrix) -> str:
         raise MalformedHeader("labels containing commas cannot be serialized")
     out = ["," + ",".join(c.name for c in matrix.criteria)]
     out.append("direction," + ",".join(c.direction.value for c in matrix.criteria))
-    for label, row in zip(matrix.alternatives, matrix.values):
+    for label, row in zip(matrix.alternatives, matrix.values.tolist()):
         out.append(label + "," + ",".join(repr(v) for v in row))
     return "\n".join(out) + "\n"
 

@@ -1,8 +1,9 @@
 """Core immutable data model: criteria, decision matrices, weights, results.
 
-All types are frozen dataclasses holding plain tuples, so they hash, compare
-and share across threads without surprises. Numeric code converts to numpy
-arrays at the boundary via ``to_array``.
+All types are frozen dataclasses, so they hash, compare and share across
+threads without surprises. A ``DecisionMatrix`` keeps its ratings as one
+C-contiguous, read-only (m, n) float64 array that it owns; numeric code reads
+``values`` directly. Labels, weights and results are plain tuples.
 """
 from __future__ import annotations
 
@@ -37,13 +38,17 @@ class Criterion:
             raise InvalidValue("criterion direction must be a Direction")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionMatrix:
-    """m alternatives rated against n criteria; ratings finite and >= 0."""
+    """m alternatives rated against n criteria; ratings finite and >= 0.
+
+    ``values`` may be given as any (m, n) nested sequence or array; the
+    matrix stores its own read-only C-ordered float64 copy.
+    """
 
     alternatives: tuple[str, ...]
     criteria: tuple[Criterion, ...]
-    values: tuple[tuple[float, ...], ...]
+    values: np.ndarray
 
     def __post_init__(self):
         m, n = len(self.alternatives), len(self.criteria)
@@ -51,9 +56,17 @@ class DecisionMatrix:
             raise DimensionMismatch("matrix must have at least one row and one column")
         if len(self.values) != m:
             raise DimensionMismatch("value grid row count does not match alternatives")
-        for row in self.values:
-            if len(row) != n:
-                raise DimensionMismatch("value grid column count does not match criteria")
+        try:
+            # C order keeps every column reduction in one summation order.
+            values = np.array(self.values, dtype=float, order="C")
+        except ValueError:
+            if any(len(row) != n for row in self.values):  # ragged rows
+                raise DimensionMismatch(
+                    "value grid column count does not match criteria"
+                ) from None
+            raise
+        if values.shape != (m, n):
+            raise DimensionMismatch("value grid column count does not match criteria")
         if len(set(self.alternatives)) != m:
             raise DuplicateLabel("alternative labels must be unique")
         if any(not a for a in self.alternatives):
@@ -61,10 +74,23 @@ class DecisionMatrix:
         names = [c.name for c in self.criteria]
         if len(set(names)) != n:
             raise DuplicateLabel("criterion names must be unique")
-        for row in self.values:
-            for v in row:
-                if not math.isfinite(v) or v < 0:
-                    raise InvalidValue("matrix values must be finite and nonnegative")
+        # NaN propagates through min, so this rejects NaN, inf and negatives.
+        if not (values.min() >= 0 and np.isfinite(values.max())):
+            raise InvalidValue("matrix values must be finite and nonnegative")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, DecisionMatrix):
+            return NotImplemented
+        return (
+            self.alternatives == other.alternatives
+            and self.criteria == other.criteria
+            and np.array_equal(self.values, other.values)
+        )
+
+    def __hash__(self):
+        return hash((self.alternatives, self.criteria))
 
     @property
     def m(self) -> int:
@@ -77,9 +103,6 @@ class DecisionMatrix:
     @property
     def directions(self) -> tuple[Direction, ...]:
         return tuple(c.direction for c in self.criteria)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -135,13 +158,11 @@ class TopsisResult:
 def new_matrix(
     alternatives: Sequence[str],
     criteria: Iterable[Criterion],
-    values: Sequence[Sequence[float]],
+    values: Sequence[Sequence[float]] | np.ndarray,
 ) -> DecisionMatrix:
     """Construct a validated immutable decision matrix."""
     return DecisionMatrix(
-        alternatives=tuple(alternatives),
-        criteria=tuple(criteria),
-        values=tuple(tuple(float(v) for v in row) for row in values),
+        alternatives=tuple(alternatives), criteria=tuple(criteria), values=values
     )
 
 
@@ -154,11 +175,8 @@ def transpose(matrix: DecisionMatrix, new_directions: Sequence[Direction]) -> De
     if len(new_directions) != matrix.m:
         raise DimensionMismatch("need one direction per input alternative")
     crits = tuple(Criterion(a, d) for a, d in zip(matrix.alternatives, new_directions))
-    values = tuple(
-        tuple(matrix.values[i][j] for i in range(matrix.m)) for j in range(matrix.n)
-    )
     return DecisionMatrix(
         alternatives=tuple(c.name for c in matrix.criteria),
         criteria=crits,
-        values=values,
+        values=matrix.values.T,
     )

@@ -11,67 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Any
 
 from .errors import McdmError
-from .model import (
-    Criterion,
-    DecisionMatrix,
-    Direction,
-    TopsisResult,
-    TopsisRow,
-    new_matrix,
-    transpose,
-)
+from .ingest import parse_matrix_csv
+from .model import DecisionMatrix, Direction, TopsisResult, new_matrix, transpose
+from .reporting import parse_topsis_json
 from .topsis import rank, topsis_rank
 from .weighting import Basis, entropy_weights, equal_weights, std_dev_weights
-
-PARAMETERS = (
-    "Average working hours",
-    "Satisfy with the pay scale with respect to the work load",
-    "Do you get ample opportunities at workplace to develop a skill",
-    "Satisfied with the working environment in an organization",
-    "Satisfied by the appraisals given by management",
-    "Satisfied with the nature of work allotted",
-    "Get the appreciation of the work/tasks conducted",
-    "Satisfied with the behaviour of peer employees in an organization",
-    "Satisfied with the policies and rules & regulation by the management",
-    "Satisfy with the designation allotted in an organization",
-    "Seeking to change the job if got a high pay scale",
-)
-
-# Nine survey-group rows rated against the eleven parameters; the first
-# three parameters are cost criteria, the rest benefit.
-_RATINGS = (
-    (3.53, 3.64, 4.09, 3.82, 3.91, 3.48, 3.79, 3.23, 3.8, 3.93, 4.13),
-    (4.08, 3.8, 3.52, 3.61, 3.46, 3.28, 3.3, 3.94, 3.66, 3.59, 3.84),
-    (3.5, 4.11, 3.92, 3.66, 4.05, 3.87, 3.84, 4.12, 3.92, 4.11, 3.3),
-    (3.35, 3.76, 3.15, 3.31, 3.94, 3.62, 3.79, 3.44, 3.46, 4.07, 3.93),
-    (4.13, 3.3, 3.94, 3.8, 3.96, 4.13, 3.55, 3.43, 3.2, 0.92, 0.82),
-    (1.03, 0.95, 0.92, 0.91, 1.25, 1.04, 0.95, 1.16, 0.95, 1.01, 1.11),
-    (1.0, 0.99, 0.93, 1.05, 0.96, 0.93, 1.02, 0.88, 1.22, 1.15, 0.91),
-    (1.23, 1.01, 0.8, 1.32, 1.67, 0.89, 0.98, 0.96, 0.91, 0.93, 0.92),
-    (0.96, 0.96, 1.04, 1.2, 1.67, 0.87, 0.96, 0.98, 0.95, 0.97, 0.91),
-)
-
-_DIRECTIONS = (Direction.COST, Direction.COST, Direction.COST) + (Direction.BENEFIT,) * 8
-
-# Published per-parameter separations, closeness and rank (s_minus, s_plus, ci, rank).
-_EXPECTED = (
-    (0.089602, 0.055112, 0.619168, 3),
-    (0.08404, 0.054844, 0.605111, 4),
-    (0.091001, 0.055916, 0.619405, 2),
-    (0.088131, 0.04766, 0.64902, 1),
-    (0.071592, 0.078387, 0.477346, 6),
-    (0.058143, 0.091976, 0.387313, 7),
-    (0.057905, 0.092936, 0.383884, 9),
-    (0.058012, 0.092506, 0.385416, 8),
-    (0.057692, 0.092693, 0.383628, 10),
-    (0.047449, 0.087666, 0.351176, 11),
-    (0.060185, 0.065686, 0.478147, 5),
-)
 
 
 class Orientation(Enum):
@@ -138,20 +88,23 @@ class ReproReport:
         }
 
 
+@cache
 def builtin_fixture() -> DecisionMatrix:
-    """The embedded 9 x 11 rating table, verbatim."""
-    criteria = [Criterion(p, d) for p, d in zip(PARAMETERS, _DIRECTIONS)]
-    return new_matrix([str(i) for i in range(1, 10)], criteria, _RATINGS)
+    """The bundled 9 x 11 rating table, read from ``data/table1.csv``.
+
+    Survey groups "1"-"9" rate 11 parameters; the first three parameters are
+    cost criteria, the rest benefit.
+    """
+    return parse_matrix_csv(fixture_csv_path().read_text(encoding="utf-8"))
 
 
+@cache
 def builtin_expected() -> TopsisResult:
-    """The published per-parameter separations, closeness and ranks."""
-    return TopsisResult(
-        rows=tuple(
-            TopsisRow(alternative=p, s_minus=sm, s_plus=sp, closeness=ci, rank=rk)
-            for p, (sm, sp, ci, rk) in zip(PARAMETERS, _EXPECTED)
-        )
-    )
+    """The published per-parameter separations, closeness and ranks.
+
+    Read from ``data/table2.json``.
+    """
+    return parse_topsis_json(expected_json_path().read_text(encoding="utf-8"))
 
 
 def fixture_csv_path() -> Path:
@@ -187,9 +140,7 @@ def _config_matrix(config: ReproConfig) -> DecisionMatrix:
     # satisfaction ratings, so transposed criteria are treated as benefit.
     t = transpose(matrix, [Direction.BENEFIT] * matrix.m)
     if config.row_subset is RowSubset.ROWS_1_TO_5:
-        criteria = t.criteria[:5]
-        values = [row[:5] for row in t.values]
-        return new_matrix(t.alternatives, criteria, values)
+        return new_matrix(t.alternatives, t.criteria[:5], t.values[:, :5])
     return t
 
 

@@ -103,7 +103,7 @@ def rank_stability(
         deltas.extend([k * step, -k * step])
     deltas.sort(key=lambda d: (abs(d), -d))  # smallest magnitude first, + before -
 
-    unit = _unit_columns(matrix.to_array())
+    unit = _unit_columns(matrix.values)
     benefit = _benefit_mask(matrix.directions)
     sweeps = []
     preserved = 0
@@ -155,7 +155,7 @@ def leave_one_out(
     if matrix.m < 3:
         raise TooFewAlternatives("leave-one-out needs at least three alternatives")
     baseline = np.array(topsis_rank(matrix, weights).ranks())
-    x = matrix.to_array()
+    x = matrix.values
     benefit = _benefit_mask(matrix.directions)
     w = weights.to_array()[None, :]
 
@@ -164,7 +164,7 @@ def leave_one_out(
         labels = matrix.alternatives[:k] + matrix.alternatives[k + 1 :]
         values = np.delete(x, k, axis=0)
         if reweight is not None:
-            reduced = new_matrix(labels, matrix.criteria, values.tolist())
+            reduced = new_matrix(labels, matrix.criteria, values)
             w = reweight(reduced).to_array()[None, :]
         unit = _unit_columns(values)
         try:

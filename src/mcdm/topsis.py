@@ -10,31 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateAlternative, DimensionMismatch, ZeroColumn
-from .model import (
-    Criterion,
-    DecisionMatrix,
-    Direction,
-    TopsisResult,
-    TopsisRow,
-    WeightVector,
-)
-
-
-@dataclass(frozen=True)
-class NormalizedMatrix:
-    """Decision matrix whose columns have unit Euclidean norm."""
-
-    alternatives: tuple[str, ...]
-    criteria: tuple[Criterion, ...]
-    values: tuple[tuple[float, ...], ...]
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-    @property
-    def directions(self) -> tuple[Direction, ...]:
-        return tuple(c.direction for c in self.criteria)
+from .errors import DegenerateAlternative, DimensionMismatch, InvalidValue, ZeroColumn
+from .model import DecisionMatrix, Direction, TopsisResult, TopsisRow, WeightVector
 
 
 @dataclass(frozen=True)
@@ -45,8 +22,15 @@ class IdealPoints:
 
 def _unit_columns(x: np.ndarray) -> np.ndarray:
     """Divide every column of an (m, n) array by its Euclidean norm."""
-    norms = np.sqrt((x * x).sum(axis=0))
+    with np.errstate(over="ignore"):  # an overflowed norm is reported below
+        norms = np.sqrt((x * x).sum(axis=0))
+    if not np.isfinite(norms).all():
+        raise InvalidValue("cannot normalize a column whose norm overflows to infinity")
     if np.any(norms == 0):
+        if np.any(x[:, norms == 0]):
+            raise InvalidValue(
+                "cannot normalize a nonzero column whose norm underflows to zero"
+            )
         raise ZeroColumn("cannot normalize an all-zero column")
     return x / norms
 
@@ -86,21 +70,17 @@ def _benefit_mask(directions: Sequence[Direction]) -> np.ndarray:
     return np.array([d is Direction.BENEFIT for d in directions])
 
 
-def vector_normalize(matrix: DecisionMatrix) -> NormalizedMatrix:
-    """Divide every column by its Euclidean norm."""
-    r = _unit_columns(matrix.to_array())
-    return NormalizedMatrix(
-        alternatives=matrix.alternatives,
-        criteria=matrix.criteria,
-        values=tuple(tuple(row) for row in r),
-    )
+def vector_normalize(matrix: DecisionMatrix) -> DecisionMatrix:
+    """The same matrix with every column divided by its Euclidean norm."""
+    unit = _unit_columns(matrix.values)
+    return DecisionMatrix(matrix.alternatives, matrix.criteria, unit)
 
 
-def apply_weights(normalized: NormalizedMatrix, weights: WeightVector) -> np.ndarray:
+def apply_weights(normalized: DecisionMatrix, weights: WeightVector) -> np.ndarray:
     """Scale each normalized column by its criterion weight."""
-    if len(weights) != len(normalized.criteria):
+    if len(weights) != normalized.n:
         raise DimensionMismatch("weight count does not match criterion count")
-    return normalized.to_array() * weights.to_array()
+    return normalized.values * weights.to_array()
 
 
 def ideal_points(weighted: np.ndarray, directions: Sequence[Direction]) -> IdealPoints:
@@ -157,7 +137,7 @@ def topsis_rank(matrix: DecisionMatrix, weights: WeightVector) -> TopsisResult:
     """Full pipeline; result rows stay in input alternative order."""
     if matrix.m < 2:
         raise DegenerateAlternative("TOPSIS needs at least two alternatives")
-    unit = _unit_columns(matrix.to_array())
+    unit = _unit_columns(matrix.values)
     columns = _batch_topsis(
         unit, weights.to_array()[None, :], _benefit_mask(matrix.directions)
     )

@@ -25,8 +25,9 @@ from .errors import (
     RaggedRow,
     ZeroColumn,
 )
+from .ingest import _lines
 from .model import DecisionMatrix, WeightVector
-from .topsis import vector_normalize
+from .topsis import _unit_columns
 
 # Saaty's random consistency indices for n = 1..10 (external AHP constants).
 RANDOM_INDEX = (0.0, 0.0, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
@@ -101,10 +102,9 @@ def std_dev_weights(
     """Weight each criterion by the sample standard deviation of its column."""
     if matrix.m < 2:
         raise InsufficientRows("standard-deviation weighting needs at least two rows")
+    x = matrix.values
     if basis is Basis.VECTOR_NORMALIZED:
-        x = vector_normalize(matrix).to_array()
-    else:
-        x = matrix.to_array()
+        x = _unit_columns(x)
     sigma = x.std(axis=0, ddof=1)
     total = sigma.sum()
     if total == 0:
@@ -116,7 +116,7 @@ def entropy_weights(matrix: DecisionMatrix) -> WeightVector:
     """Weight criteria by information content 1 - entropy of the column shares."""
     if matrix.m < 2:
         raise InsufficientRows("entropy weighting needs at least two rows")
-    x = matrix.to_array()
+    x = matrix.values
     col_sums = x.sum(axis=0)
     if np.any(col_sums == 0):
         raise ZeroColumn("entropy weighting needs positive column sums")
@@ -168,23 +168,29 @@ def ahp_weights(pairwise: PairwiseMatrix) -> AhpOutcome:
 
 
 def parse_pairwise_csv(text: str) -> PairwiseMatrix:
-    """Parse a pairwise matrix: label header row, then n rows of n decimals."""
-    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln != ""]
+    """Parse a pairwise matrix: label header row, then n rows of n decimals.
+
+    Blank lines are skipped; row errors name their 1-based line in ``text``.
+    """
+    lines = [(no, ln) for no, ln in enumerate(_lines(text), start=1) if ln != ""]
     if not lines:
         raise MalformedHeader("pairwise CSV is empty")
-    labels = lines[0].split(",")
+    header_no, header = lines[0]
+    labels = header.split(",")
     if any(not label for label in labels):
         raise MalformedHeader("pairwise header labels must be non-empty")
     n = len(labels)
     if len(lines) - 1 != n:
-        raise RaggedRow("pairwise CSV must have exactly n data rows")
+        raise RaggedRow(f"line {header_no}: pairwise CSV must have exactly {n} data rows")
     grid = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != n:
-            raise RaggedRow("pairwise row length does not match header")
+            raise RaggedRow(f"line {lineno}: pairwise row length does not match header")
         try:
             grid.append(tuple(float(p) for p in parts))
         except ValueError:
-            raise InvalidValue("pairwise entries must be decimal numbers") from None
+            raise InvalidValue(
+                f"line {lineno}: pairwise entries must be decimal numbers"
+            ) from None
     return PairwiseMatrix(labels=tuple(labels), comparisons=tuple(grid))

@@ -44,6 +44,30 @@ def test_rank_manual_all_zero(capsys):
     assert err == "error: all weights zero\n"
 
 
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (
+            ("-0.0,1e-300", "1e300,2.5", "0.1,3"),
+            "cannot normalize a column whose norm overflows to infinity",
+        ),
+        (
+            ("1e-200,1", "2e-200,2", "0,3"),
+            "cannot normalize a nonzero column whose norm underflows to zero",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["rank", "weights", "sensitivity"])
+def test_out_of_range_norm_is_one_line_error(capsys, tmp_path, cells, message, command):
+    rows = [f"{label},{c}" for label, c in zip("abc", cells)]
+    path = tmp_path / "m.csv"
+    path.write_text(",c1,c2\ndirection,benefit,cost\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_missing_input(capsys):
     code, _, err = run_cli(capsys, "rank", "--input", "/nonexistent.csv")
     assert code == 1

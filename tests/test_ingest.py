@@ -30,7 +30,7 @@ def test_minimal_file():
     m = parse_matrix_csv(",c1\ndirection,benefit\na,2.0\n")
     assert m.alternatives == ("a",)
     assert m.criteria[0].direction is Direction.BENEFIT
-    assert m.values == ((2.0,),)
+    assert m.values.tolist() == [[2.0]]
 
 
 def test_crlf_accepted():
@@ -124,7 +124,7 @@ def test_aggregate_mean():
         [SurveyResponse("g1", "q1", 4), SurveyResponse("g1", "q1", 5)],
         Statistic.MEAN,
     )
-    assert m.values == ((4.5,),)
+    assert m.values.tolist() == [[4.5]]
     assert m.criteria[0].direction is Direction.BENEFIT
 
 
@@ -183,7 +183,7 @@ def test_aggregate_mean_order_invariant():
     base = aggregate_survey(responses, Statistic.MEAN)
     shuffled = responses[:]
     rng.shuffle(shuffled)
-    assert aggregate_survey(shuffled, Statistic.MEAN).values == base.values
+    assert aggregate_survey(shuffled, Statistic.MEAN).values.tolist() == base.values.tolist()
 
 
 def test_parse_survey_csv():

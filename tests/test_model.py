@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from mcdm.errors import DimensionMismatch, DuplicateLabel, InvalidValue
@@ -21,7 +23,7 @@ C = Direction.COST
 def test_minimal_matrix():
     m = new_matrix(["a"], [Criterion("c", B)], [[1.0]])
     assert m.m == 1 and m.n == 1
-    assert m.values == ((1.0,),)
+    assert m.values.tolist() == [[1.0]]
 
 
 def test_table1_construction():
@@ -50,8 +52,59 @@ def test_invalid_values_rejected(bad):
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="row count does not match alternatives"):
         new_matrix(["a", "b"], [Criterion("c", B)], [[1.0]])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]],
+)
+def test_ragged_or_wide_rows_rejected(rows):
+    criteria = [Criterion("c1", B), Criterion("c2", B)]
+    with pytest.raises(
+        DimensionMismatch, match="^value grid column count does not match criteria$"
+    ):
+        new_matrix(["a", "b"], criteria, rows)
+
+
+def test_values_read_only():
+    m = new_matrix(["a", "b"], [Criterion("c", B)], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="read-only"):
+        m.values[0, 0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.values = np.zeros((2, 1))
+    assert m.values.tolist() == [[1.0], [2.0]]
+
+
+def test_matrix_owns_its_values():
+    rows = [[1.0, 2.0], [3.0, 4.0]]
+    array = np.array(rows)
+    from_list = new_matrix(["a", "b"], [Criterion("c1", B), Criterion("c2", C)], rows)
+    from_array = new_matrix(["a", "b"], [Criterion("c1", B), Criterion("c2", C)], array)
+    rows[0][0] = 99.0
+    array[0, 0] = 99.0
+    assert from_list.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert from_array.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert from_list.values.dtype == np.float64
+
+
+def test_transpose_values_c_contiguous():
+    t = transpose(builtin_fixture(), [B] * 9)
+    assert t.values.flags.c_contiguous
+    assert not t.values.flags.writeable
+
+
+def test_equality_and_hash_agree():
+    crit = [Criterion("c", B)]
+    a = new_matrix(["x", "y"], crit, [[0.0], [1.0]])
+    b = new_matrix(["x", "y"], crit, np.array([[-0.0], [1.0]]))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != new_matrix(["x", "y"], crit, [[0.0], [2.0]])
+    assert a != new_matrix(["x", "z"], crit, [[0.0], [1.0]])
+    assert a != new_matrix(["x", "y"], [Criterion("c", C)], [[0.0], [1.0]])
+    assert a != "not a matrix"
 
 
 def test_transpose_1x1():
@@ -59,7 +112,7 @@ def test_transpose_1x1():
     t = transpose(m, [C])
     assert t.alternatives == ("c",)
     assert t.criteria[0].name == "a" and t.criteria[0].direction is C
-    assert t.values == ((2.5,),)
+    assert t.values.tolist() == [[2.5]]
 
 
 def test_transpose_table1():
@@ -73,7 +126,7 @@ def test_transpose_table1():
 def test_transpose_involution():
     m = builtin_fixture()
     t = transpose(transpose(m, [B] * 9), list(m.directions))
-    assert t.values == m.values
+    assert t.values.tolist() == m.values.tolist()
     assert t.alternatives == m.alternatives
     assert t.criteria == m.criteria
 

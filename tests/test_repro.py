@@ -2,9 +2,8 @@ import json
 
 import pytest
 
-from mcdm.ingest import parse_matrix_csv
+from mcdm.ingest import serialize_matrix_csv
 from mcdm.model import Direction
-from mcdm.reporting import parse_topsis_json
 from mcdm.repro import (
     Orientation,
     ReproConfig,
@@ -14,7 +13,6 @@ from mcdm.repro import (
     all_configs,
     builtin_expected,
     builtin_fixture,
-    expected_json_path,
     fixture_csv_path,
     internal_consistency_deltas,
     published_rank_check,
@@ -54,9 +52,20 @@ def test_published_rank_check():
     assert published_rank_check()
 
 
-def test_bundled_fixture_files_match_builtins():
-    assert parse_matrix_csv(fixture_csv_path().read_text()) == builtin_fixture()
-    assert parse_topsis_json(expected_json_path().read_text()) == builtin_expected()
+def test_bundled_fixture_matches_published_layout():
+    m = builtin_fixture()
+    # reproduce() matches transposed rows to published rows by these labels.
+    names = [c.name for c in m.criteria]
+    assert len(names) == 11
+    assert names == [r.alternative for r in builtin_expected().rows]
+    assert m.alternatives == tuple(str(i) for i in range(1, 10))
+    assert m.directions == (Direction.COST,) * 3 + (Direction.BENEFIT,) * 8
+    assert builtin_fixture() is m and builtin_expected() is builtin_expected()
+
+
+def test_serialized_fixture_matches_bundled_csv():
+    text = serialize_matrix_csv(builtin_fixture())
+    assert text.encode("utf-8") == fixture_csv_path().read_bytes()
 
 
 def test_all_configs_enumeration():

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from mcdm.errors import DegenerateAlternative, DimensionMismatch, ZeroColumn
+from mcdm.errors import DegenerateAlternative, DimensionMismatch, InvalidValue, ZeroColumn
 from mcdm.model import Criterion, Direction, WeightVector, new_matrix
 from mcdm.topsis import (
     IdealPoints,
@@ -32,7 +32,7 @@ TABLE2_RANKS = [3, 4, 2, 1, 6, 7, 9, 8, 10, 11, 5]
 
 def test_normalize_single_row():
     m = new_matrix(["a"], [Criterion("c", B)], [[5.0]])
-    assert vector_normalize(m).values == ((1.0,),)
+    assert vector_normalize(m).values.tolist() == [[1.0]]
 
 
 def test_normalize_345():
@@ -45,7 +45,7 @@ def test_normalize_345():
 def test_normalize_unit_columns(rng):
     for _ in range(25):
         m = random_matrix(rng)
-        r = vector_normalize(m).to_array()
+        r = vector_normalize(m).values
         for norm in np.sqrt((r * r).sum(axis=0)):
             assert norm == pytest.approx(1.0, abs=1e-12)
 
@@ -54,6 +54,28 @@ def test_normalize_zero_column():
     m = new_matrix(["a", "b"], [Criterion("c", B)], [[0.0], [0.0]])
     with pytest.raises(ZeroColumn):
         vector_normalize(m)
+
+
+OVERFLOW_ROWS = [[-0.0, 1e-300], [1e300, 2.5], [0.1, 3.0]]
+UNDERFLOW_ROWS = [[1e-200, 1.0], [2e-200, 2.0], [0.0, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (OVERFLOW_ROWS, "norm overflows to infinity"),
+        (UNDERFLOW_ROWS, "nonzero column whose norm underflows to zero"),
+    ],
+)
+def test_normalize_out_of_range_norm(rows, message):
+    m = new_matrix(["a", "b", "c"], [Criterion("c1", B), Criterion("c2", C)], rows)
+    for call in (
+        lambda: vector_normalize(m),
+        lambda: topsis_rank(m, equal_weights(2)),
+        lambda: std_dev_weights(m, Basis.VECTOR_NORMALIZED),
+    ):
+        with pytest.raises(InvalidValue, match=message):
+            call()
 
 
 def test_apply_weights_direct():

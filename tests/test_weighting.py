@@ -9,6 +9,7 @@ from mcdm.errors import (
     InvalidArity,
     InvalidValue,
     NegativeWeight,
+    RaggedRow,
 )
 from mcdm.model import Criterion, Direction, new_matrix
 from mcdm.repro import builtin_fixture
@@ -215,6 +216,26 @@ class TestAhpWeights:
         pm = parse_pairwise_csv("a,b\n1,2\n0.5,1\n")
         assert pm.labels == ("a", "b")
         assert pm.comparisons == ((1.0, 2.0), (0.5, 1.0))
+
+    @pytest.mark.parametrize(
+        "text", ["\ufeffa,b\n1,2\n0.5,1\n", "a,b\r\n\r\n1,2\r\n\n0.5,1\r\n\n"]
+    )
+    def test_parse_pairwise_csv_bom_and_blank_lines(self, text):
+        assert parse_pairwise_csv(text) == parse_pairwise_csv("a,b\n1,2\n0.5,1\n")
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("a,b\n1,2\n\n0.5\n", RaggedRow, "^line 4: pairwise row length"),
+            ("\ufeffa,b\n1,2,3\n0.5,1\n", RaggedRow, "^line 2: pairwise row length"),
+            ("a,b\n1,2\n\n0.5,x\n", InvalidValue, "^line 4: pairwise entries"),
+            ("a,b\n1,2\n", RaggedRow, "^line 1: pairwise CSV must have exactly 2 data rows"),
+            ("\na,b\n1,2\n0.5,1\n1,1\n", RaggedRow, "^line 2: pairwise CSV must have"),
+        ],
+    )
+    def test_parse_pairwise_csv_errors_name_line(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_pairwise_csv(text)
 
 
 def test_all_weight_vectors_on_simplex(rng):
