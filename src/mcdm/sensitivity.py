@@ -12,18 +12,27 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    DegenerateAlternative,
     DegenerateBase,
     OutOfRange,
     TooFewAlternatives,
 )
 from .model import DecisionMatrix, WeightVector, new_matrix
-from .topsis import _batch_topsis, _benefit_mask, _unit_columns, topsis_rank
+from .topsis import (
+    _batch_topsis,
+    _benefit_mask,
+    _ranks,
+    _separations,
+    _unit_columns,
+    topsis_rank,
+)
 
 DEFAULT_STEP = 0.01
 DEFAULT_MAX_DELTA = 0.25
 
 _FEASIBILITY_EPS = 1e-9
+# Bounds the largest array of one stacked leave-one-out pass over c removals:
+# the (c, m-1, m-1) pair masks or the (c, m-1, n) kernel temporaries.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -64,21 +73,38 @@ class LeaveOneOutReport:
         return any(e.reversed_pairs for e in self.effects)
 
 
+def _perturbed(
+    w: np.ndarray, j: int, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row of w per delta: w[j] shifted by delta, the rest rescaled to sum 1.
+
+    Also returns two masks over the deltas: the shifted weight leaves [0, 1]
+    (beyond _FEASIBILITY_EPS), and the delta takes weight away from a w[j]
+    of 1, which leaves nothing to rescale. Rows under either mask are not
+    perturbations.
+    """
+    shifted = w[j] + deltas
+    out_of_range = (shifted < -_FEASIBILITY_EPS) | (shifted > 1 + _FEASIBILITY_EPS)
+    pinned = (w[j] == 1.0) & (deltas < 0)
+    new_wj = np.clip(shifted, 0.0, 1.0)
+    scale = (1.0 - new_wj) / (1.0 - w[j]) if w[j] != 1.0 else np.zeros_like(new_wj)
+    rows = w * scale[:, None]
+    rows[:, j] = new_wj
+    return rows, out_of_range, pinned
+
+
 def perturb_weights(weights: WeightVector, j: int, delta: float) -> WeightVector:
     """Shift weight j by delta, rescaling the others proportionally."""
     if not 0 <= j < len(weights):
         raise OutOfRange("criterion index out of range")
-    w = list(weights.weights)
-    new_wj = w[j] + delta
-    if new_wj < -_FEASIBILITY_EPS or new_wj > 1 + _FEASIBILITY_EPS:
+    rows, out_of_range, pinned = _perturbed(
+        weights.to_array(), j, np.array([delta], dtype=float)
+    )
+    if out_of_range[0]:
         raise OutOfRange("perturbed weight leaves [0, 1]")
-    new_wj = min(max(new_wj, 0.0), 1.0)
-    if w[j] == 1.0 and delta < 0:
+    if pinned[0]:
         raise DegenerateBase("cannot redistribute from a weight of 1")
-    scale = (1.0 - new_wj) / (1.0 - w[j]) if w[j] != 1.0 else 0.0
-    out = [wk * scale for wk in w]
-    out[j] = new_wj
-    return WeightVector(weights=tuple(out), method=weights.method)
+    return WeightVector(weights=tuple(rows[0].tolist()), method=weights.method)
 
 
 def rank_stability(
@@ -102,26 +128,25 @@ def rank_stability(
     for k in range(1, steps + 1):
         deltas.extend([k * step, -k * step])
     deltas.sort(key=lambda d: (abs(d), -d))  # smallest magnitude first, + before -
+    deltas = np.array(deltas)
 
     unit = _unit_columns(matrix.values)
     benefit = _benefit_mask(matrix.directions)
+    w = weights.to_array()
     sweeps = []
     preserved = 0
     total = 0
     for j, criterion in enumerate(matrix.criteria):
         # One kernel call per criterion keeps the (k, m, n) temporaries small.
-        feasible, rows = [], []
-        for delta in deltas:
-            try:
-                perturbed = perturb_weights(weights, j, delta)
-            except (OutOfRange, DegenerateBase):
-                continue
-            feasible.append(delta)
-            rows.append(perturbed.weights)
-        ranks = _batch_topsis(unit, np.array(rows), benefit)[3].tolist() if rows else []
+        rows, out_of_range, pinned = _perturbed(w, j, deltas)
+        feasible = ~(out_of_range | pinned)
+        rows = rows[feasible]
+        for row in rows.tolist():
+            WeightVector(weights=tuple(row), method=weights.method)  # validates the row
+        ranks = _batch_topsis(unit, rows, benefit)[3].tolist() if len(rows) else []
         grid = []
         flip: float | None = None
-        for delta, point in zip(feasible, map(tuple, ranks)):
+        for delta, point in zip(deltas[feasible].tolist(), map(tuple, ranks)):
             grid.append(GridPoint(delta=delta, ranks=point))
             total += 1
             if point.index(1) == base_top:
@@ -142,6 +167,43 @@ def rank_stability(
     )
 
 
+def _removal_effects(
+    matrix: DecisionMatrix,
+    baseline: np.ndarray,
+    removed: np.ndarray,
+    w: np.ndarray,
+    benefit: np.ndarray,
+) -> list[RemovalEffect]:
+    """Rank the matrix without each row in ``removed``, all in one stacked pass.
+
+    ``w`` is one (1, n) weight row for every reduced matrix. A reduced matrix
+    whose survivors are indistinguishable is marked degenerate.
+    """
+    m = matrix.m
+    # survivors[s] holds the rows left after removing row removed[s], in order.
+    survivors = np.arange(m - 1) + (np.arange(m - 1) >= removed[:, None])
+    s_plus, s_minus = _separations(_unit_columns(matrix.values[survivors]), w, benefit)
+    total = s_plus + s_minus
+    degenerate = np.any(total <= 0, axis=1)
+    ranks = _ranks(s_minus / np.where(degenerate[:, None], 1.0, total))
+    # Survivor pairs, earlier input index first, whose relative order flipped.
+    base = baseline[survivors]
+    before = base[:, :, None] < base[:, None, :]
+    flipped = np.triu(before != (ranks[:, :, None] < ranks[:, None, :]), 1)
+    flipped[degenerate] = False  # closeness is undefined there: no pairs to report
+    slot, a, b = np.nonzero(flipped)
+    ahead = np.where(before[slot, a, b], survivors[slot, a], survivors[slot, b])
+    behind = np.where(before[slot, a, b], survivors[slot, b], survivors[slot, a])
+    labels = matrix.alternatives
+    pairs: list[list[tuple[str, str]]] = [[] for _ in removed]
+    for i, x, y in zip(slot.tolist(), ahead.tolist(), behind.tolist()):
+        pairs[i].append((labels[x], labels[y]))
+    return [
+        RemovalEffect(removed=labels[k], reversed_pairs=tuple(p), degenerate=bool(d))
+        for k, p, d in zip(removed.tolist(), pairs, degenerate.tolist())
+    ]
+
+
 def leave_one_out(
     matrix: DecisionMatrix,
     weights: WeightVector,
@@ -154,33 +216,22 @@ def leave_one_out(
     """
     if matrix.m < 3:
         raise TooFewAlternatives("leave-one-out needs at least three alternatives")
+    m = matrix.m
     baseline = np.array(topsis_rank(matrix, weights).ranks())
-    x = matrix.values
     benefit = _benefit_mask(matrix.directions)
     w = weights.to_array()[None, :]
-
+    # A reweighted removal has weights of its own, so it is ranked alone.
+    per_removal = (m - 1) * max(m - 1, matrix.n)
+    chunk = 1 if reweight is not None else max(1, _CHUNK_ELEMENTS // per_removal)
     effects = []
-    for k, removed in enumerate(matrix.alternatives):
-        labels = matrix.alternatives[:k] + matrix.alternatives[k + 1 :]
-        values = np.delete(x, k, axis=0)
+    for start in range(0, m, chunk):
         if reweight is not None:
-            reduced = new_matrix(labels, matrix.criteria, values)
-            w = reweight(reduced).to_array()[None, :]
-        unit = _unit_columns(values)
-        try:
-            ranks = _batch_topsis(unit, w, benefit)[3][0]
-        except DegenerateAlternative:
-            effects.append(
-                RemovalEffect(removed=removed, reversed_pairs=(), degenerate=True)
+            reduced = new_matrix(
+                matrix.alternatives[:start] + matrix.alternatives[start + 1 :],
+                matrix.criteria,
+                np.delete(matrix.values, start, axis=0),
             )
-            continue
-        # Survivor pairs, earlier input index first, whose relative order flipped.
-        base = np.delete(baseline, k)
-        before = base[:, None] < base
-        flipped = np.triu(before != (ranks[:, None] < ranks), 1)
-        reversed_pairs = tuple(
-            (labels[a], labels[b]) if before[a, b] else (labels[b], labels[a])
-            for a, b in zip(*(i.tolist() for i in np.nonzero(flipped)))
-        )
-        effects.append(RemovalEffect(removed=removed, reversed_pairs=reversed_pairs))
+            w = reweight(reduced).to_array()[None, :]
+        removed = np.arange(start, min(start + chunk, m))
+        effects += _removal_effects(matrix, baseline, removed, w, benefit)
     return LeaveOneOutReport(effects=tuple(effects))

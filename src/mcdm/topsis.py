@@ -20,19 +20,36 @@ class IdealPoints:
     anti_ideal: tuple[float, ...]
 
 
+# A squared norm below this is subnormal: it has already lost precision.
+_TINY = np.finfo(float).tiny
+
+
 def _unit_columns(x: np.ndarray) -> np.ndarray:
-    """Divide every column of an (m, n) array by its Euclidean norm."""
+    """Divide every column of each (..., m, n) slice by its Euclidean norm.
+
+    Over a stack, the first slice that cannot be normalized raises the error
+    that normalizing that slice alone raises.
+    """
     with np.errstate(over="ignore"):  # an overflowed norm is reported below
-        norms = np.sqrt((x * x).sum(axis=0))
-    if not np.isfinite(norms).all():
+        squares = (x * x).sum(axis=-2)
+    in_range = (squares >= _TINY) & (squares < np.inf)
+    if not in_range.all():
+        slices = x.reshape(-1, *x.shape[-2:])
+        k = int(np.argmin(in_range.reshape(len(slices), -1).all(axis=1)))
+        _reject_norms(slices[k], squares.reshape(len(slices), -1)[k])
+    return x / np.sqrt(squares)[..., None, :]
+
+
+def _reject_norms(x: np.ndarray, squares: np.ndarray) -> None:
+    """Raise the error for an (m, n) array with a squared column norm out of range."""
+    if not np.isfinite(squares).all():
         raise InvalidValue("cannot normalize a column whose norm overflows to infinity")
-    if np.any(norms == 0):
-        if np.any(x[:, norms == 0]):
-            raise InvalidValue(
-                "cannot normalize a nonzero column whose norm underflows to zero"
-            )
+    zero = squares == 0
+    if np.any(x[:, zero]):
+        raise InvalidValue("cannot normalize a nonzero column whose norm underflows to zero")
+    if zero.any():
         raise ZeroColumn("cannot normalize an all-zero column")
-    return x / norms
+    raise InvalidValue("cannot normalize a column whose squared norm is subnormal")
 
 
 def _distances(weighted: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -41,29 +58,48 @@ def _distances(weighted: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(diff, out=diff).sum(axis=2))
 
 
+def _separations(
+    unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """S+ and S-, each (k, m), of unit columns under (k, n) weight rows.
+
+    ``unit`` is one (m, n) array for every weight row, or a (k, m, n) stack
+    under one shared (1, n) weight row. The ideal and anti-ideal points are
+    the weights times each column's unit max and min: rounding is monotone
+    and weights are nonnegative, so this equals the max and min of the
+    weighted column, up to the sign of a zero, which squaring removes.
+    """
+    if weights.shape[1] != unit.shape[-1]:
+        raise DimensionMismatch("weight count does not match criterion count")
+    weighted = unit * weights[:, None, :]
+    high, low = weights * unit.max(axis=-2), weights * unit.min(axis=-2)
+    s_plus = _distances(weighted, np.where(benefit, high, low))
+    s_minus = _distances(weighted, np.where(benefit, low, high))
+    return s_plus, s_minus
+
+
+def _ranks(c: np.ndarray) -> np.ndarray:
+    """Ranks within each row of c; rank 1 = largest, ties go to the earlier index."""
+    order = np.argsort(-c, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, c.shape[1] + 1), axis=1)
+    return ranks
+
+
 def _batch_topsis(
     unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """TOPSIS for a (k, n) stack of weight rows over one unit-column (m, n) array.
 
-    Returns s_plus, s_minus, closeness and ranks, each (k, m). Every
-    elementwise operation and every reduction axis matches the staged
-    functions below, so each row is bit-identical to a single evaluation.
+    Returns s_plus, s_minus, closeness and ranks, each (k, m). Each row is
+    bit-identical to the staged functions below on that row's weights.
     """
-    if weights.shape[1] != unit.shape[1]:
-        raise DimensionMismatch("weight count does not match criterion count")
-    weighted = unit * weights[:, None, :]
-    high, low = weighted.max(axis=1), weighted.min(axis=1)
-    s_plus = _distances(weighted, np.where(benefit, high, low))
-    s_minus = _distances(weighted, np.where(benefit, low, high))
+    s_plus, s_minus = _separations(unit, weights, benefit)
     total = s_plus + s_minus
     if np.any(total <= 0):
         raise DegenerateAlternative("closeness undefined when both separations are zero")
     c = s_minus / total
-    order = np.argsort(-c, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, c.shape[1] + 1), axis=1)
-    return s_plus, s_minus, c, ranks
+    return s_plus, s_minus, c, _ranks(c)
 
 
 def _benefit_mask(directions: Sequence[Direction]) -> np.ndarray:

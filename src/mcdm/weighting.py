@@ -105,11 +105,14 @@ def std_dev_weights(
     x = matrix.values
     if basis is Basis.VECTOR_NORMALIZED:
         x = _unit_columns(x)
-    sigma = x.std(axis=0, ddof=1)
-    total = sigma.sum()
+    with np.errstate(over="ignore"):  # reported below
+        sigma = x.std(axis=0, ddof=1)
+        total = sigma.sum()
+    if not np.isfinite(total):
+        raise InvalidValue("cannot weight by a standard deviation that overflows to infinity")
     if total == 0:
         raise DegenerateMatrix("every column is constant")
-    return WeightVector(weights=tuple(sigma / total), method="std_dev")
+    return WeightVector(weights=tuple((sigma / total).tolist()), method="std_dev")
 
 
 def entropy_weights(matrix: DecisionMatrix) -> WeightVector:
@@ -117,9 +120,12 @@ def entropy_weights(matrix: DecisionMatrix) -> WeightVector:
     if matrix.m < 2:
         raise InsufficientRows("entropy weighting needs at least two rows")
     x = matrix.values
-    col_sums = x.sum(axis=0)
+    with np.errstate(over="ignore"):  # reported below
+        col_sums = x.sum(axis=0)
     if np.any(col_sums == 0):
         raise ZeroColumn("entropy weighting needs positive column sums")
+    if not np.isfinite(col_sums).all():
+        raise InvalidValue("cannot weight a column whose sum overflows to infinity")
     p = x / col_sums
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0, p * np.log(p), 0.0)
@@ -129,7 +135,7 @@ def entropy_weights(matrix: DecisionMatrix) -> WeightVector:
     total = d.sum()
     if total <= 0:
         raise DegenerateMatrix("all columns carry zero information")
-    return WeightVector(weights=tuple(d / total), method="entropy")
+    return WeightVector(weights=tuple((d / total).tolist()), method="entropy")
 
 
 def ahp_weights(pairwise: PairwiseMatrix) -> AhpOutcome:
@@ -160,7 +166,7 @@ def ahp_weights(pairwise: PairwiseMatrix) -> AhpOutcome:
             raise InvalidArity("no random consistency index beyond n = 10")
         cr = ci / RANDOM_INDEX[n - 1]
     return AhpOutcome(
-        weights=WeightVector(weights=tuple(w), method="ahp"),
+        weights=WeightVector(weights=tuple(w.tolist()), method="ahp"),
         principal_eigenvalue=eigenvalue,
         consistency_index=ci,
         consistency_ratio=cr,

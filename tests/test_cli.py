@@ -55,6 +55,10 @@ def test_rank_manual_all_zero(capsys):
             ("1e-200,1", "2e-200,2", "0,3"),
             "cannot normalize a nonzero column whose norm underflows to zero",
         ),
+        (
+            ("3e-162,1", "0,2", "0,3"),
+            "cannot normalize a column whose squared norm is subnormal",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["rank", "weights", "sensitivity"])
@@ -63,6 +67,33 @@ def test_out_of_range_norm_is_one_line_error(capsys, tmp_path, cells, message, c
     path = tmp_path / "m.csv"
     path.write_text(",c1,c2\ndirection,benefit,cost\n" + "\n".join(rows) + "\n")
     code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "cells, options, message",
+    [
+        (
+            ("1e308,1", "1e308,2", "1,3"),
+            ("--weights", "entropy"),
+            "cannot weight a column whose sum overflows to infinity",
+        ),
+        (
+            ("-0.0,1e-300", "1e300,2.5", "0.1,3"),
+            ("--basis", "raw"),
+            "cannot weight by a standard deviation that overflows to infinity",
+        ),
+    ],
+)
+def test_overflowing_weight_reduction_is_one_line_error(
+    capsys, tmp_path, cells, options, message
+):
+    rows = [f"{label},{c}" for label, c in zip("abc", cells)]
+    path = tmp_path / "m.csv"
+    path.write_text(",c1,c2\ndirection,benefit,cost\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, "weights", "--input", str(path), *options)
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from mcdm.errors import (
     DegenerateAlternative,
     DegenerateBase,
     DimensionMismatch,
+    InvalidValue,
     McdmError,
     OutOfRange,
     TooFewAlternatives,
@@ -14,11 +16,13 @@ from mcdm.errors import (
 )
 from mcdm.model import Criterion, Direction, WeightVector, new_matrix
 from mcdm.sensitivity import (
+    _FEASIBILITY_EPS,
     CriterionSweep,
     GridPoint,
     LeaveOneOutReport,
     RemovalEffect,
     SensitivityReport,
+    _perturbed,
     leave_one_out,
     perturb_weights,
     rank_stability,
@@ -307,6 +311,106 @@ class TestBatchedEquivalence:
         assert _outcome(lambda: leave_one_out(matrix, weights, reweight)) == _outcome(
             lambda: _leave_one_out_loop(matrix, weights, reweight)
         )
+
+
+def _perturb_reference(w, j, delta):
+    """perturb_weights on a list of Python floats, one delta at a time."""
+    new_wj = w[j] + delta
+    if new_wj < -_FEASIBILITY_EPS or new_wj > 1 + _FEASIBILITY_EPS:
+        return OutOfRange
+    new_wj = min(max(new_wj, 0.0), 1.0)
+    if w[j] == 1.0 and delta < 0:
+        return DegenerateBase
+    scale = (1.0 - new_wj) / (1.0 - w[j]) if w[j] != 1.0 else 0.0
+    out = [wk * scale for wk in w]
+    out[j] = new_wj
+    return out
+
+
+@st.composite
+def weight_grid(draw):
+    """Weights with signed zeros and pinned ones, a criterion and a grid of deltas."""
+    raw = draw(
+        st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=5)
+        .filter(any)
+    )
+    weights = w(*(v / sum(raw) for v in raw))
+    j = draw(st.integers(0, len(raw) - 1))
+    edges = [-weights.weights[j] - 5e-10, -weights.weights[j] - 2e-9]
+    edges += [1 - weights.weights[j] + 5e-10, 1 - weights.weights[j] + 2e-9, 0.0, -0.0]
+    steps = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=10))
+    return weights, j, [k * 0.05 for k in steps] + edges
+
+
+class TestPerturbationGrid:
+    """One vectorized grid per criterion, row for row equal to scalar perturbation."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(weight_grid())
+    def test_grid_matches_perturb_weights(self, case):
+        weights, j, deltas = case
+        rows, out_of_range, pinned = _perturbed(weights.to_array(), j, np.array(deltas))
+        for i, delta in enumerate(deltas):
+            want = _perturb_reference(list(weights.weights), j, delta)
+            got = _outcome(lambda: perturb_weights(weights, j, delta))
+            if want is OutOfRange:
+                assert got is OutOfRange and out_of_range[i]
+            elif want is DegenerateBase:
+                assert got is DegenerateBase and pinned[i] and not out_of_range[i]
+            else:
+                assert not (out_of_range[i] or pinned[i])
+                hexes = [x.hex() for x in want]
+                assert [x.hex() for x in rows[i].tolist()] == hexes
+                assert [x.hex() for x in got.weights] == hexes
+
+
+class TestStackedLeaveOneOut:
+    """leave_one_out ranks removals in stacked chunks; the loop is the reference."""
+
+    def test_matches_loop_across_chunks(self, rng):
+        m = random_matrix(rng, m=80, n=4)
+        assert 80 * 79 * 79 > mcdm.sensitivity._CHUNK_ELEMENTS  # several chunks
+        assert leave_one_out(m, equal_weights(4)) == _leave_one_out_loop(
+            m, equal_weights(4)
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tie_prone(), st.integers(1, 60))
+    def test_matches_loop_with_small_chunks(self, case, budget):
+        matrix, weights = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcdm.sensitivity, "_CHUNK_ELEMENTS", budget)
+            got = _outcome(lambda: leave_one_out(matrix, weights))
+        assert got == _outcome(lambda: _leave_one_out_loop(matrix, weights))
+
+    @pytest.mark.parametrize("budget", [1, None])
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            # without "c", c1 is (3e-162, 0, 0): its squared norm is subnormal
+            (
+                [[3e-162, 1.0], [0.0, 2.0], [5.0, 3.0], [0.0, 1.0]],
+                InvalidValue,
+                "squared norm is subnormal",
+            ),
+            # and without "b", the earlier removal, c2 is all zero
+            (
+                [[3e-162, 0.0], [0.0, 2.0], [5.0, 0.0], [0.0, 0.0]],
+                ZeroColumn,
+                "all-zero column",
+            ),
+        ],
+    )
+    def test_first_removal_that_cannot_be_normalized_raises(
+        self, monkeypatch, budget, rows, error, message
+    ):
+        if budget is not None:
+            monkeypatch.setattr(mcdm.sensitivity, "_CHUNK_ELEMENTS", budget)
+        m = new_matrix(["a", "b", "c", "d"], [Criterion("c1", B), Criterion("c2", C)], rows)
+        with pytest.raises(error, match=message):
+            leave_one_out(m, w(0.5, 0.5))
+        with pytest.raises(error, match=message):
+            _leave_one_out_loop(m, w(0.5, 0.5))
 
 
 class TestSweepErrors:

@@ -58,6 +58,7 @@ def test_normalize_zero_column():
 
 OVERFLOW_ROWS = [[-0.0, 1e-300], [1e300, 2.5], [0.1, 3.0]]
 UNDERFLOW_ROWS = [[1e-200, 1.0], [2e-200, 2.0], [0.0, 3.0]]
+SUBNORMAL_ROWS = [[3e-162, 1.0], [0.0, 2.0], [0.0, 3.0]]  # 9e-324 squared norm
 
 
 @pytest.mark.parametrize(
@@ -65,6 +66,7 @@ UNDERFLOW_ROWS = [[1e-200, 1.0], [2e-200, 2.0], [0.0, 3.0]]
     [
         (OVERFLOW_ROWS, "norm overflows to infinity"),
         (UNDERFLOW_ROWS, "nonzero column whose norm underflows to zero"),
+        (SUBNORMAL_ROWS, "column whose squared norm is subnormal"),
     ],
 )
 def test_normalize_out_of_range_norm(rows, message):
@@ -195,6 +197,37 @@ def test_topsis_rank_equals_staged_functions_exactly(rng, shape):
         assert [(r.s_plus, r.s_minus) for r in topsis_rank(m, w).rows] == seps
         assert list(topsis_rank(m, w).closenesses()) == cis
         assert list(topsis_rank(m, w).ranks()) == rank(cis)
+
+
+def test_topsis_rank_equals_staged_functions_with_signed_zeros_and_zero_weights(rng):
+    # The kernel takes ideal points from the unit columns, not the weighted ones.
+    for _ in range(200):
+        m_, n = rng.randint(2, 8), rng.randint(1, 6)
+        values = [
+            [rng.choice([-0.0, 0.0, rng.uniform(0.0, 3.0)]) for _ in range(n)]
+            for _ in range(m_)
+        ]
+        values[0] = [1.0] * n  # no all-zero column
+        m = new_matrix(
+            [f"a{i}" for i in range(m_)],
+            [Criterion(f"c{j}", rng.choice([B, C])) for j in range(n)],
+            values,
+        )
+        raw = [rng.choice([0.0, 0.0, rng.random()]) for _ in range(n)]
+        raw[rng.randrange(n)] = 1.0
+        w = WeightVector(tuple(v / sum(raw) for v in raw), "manual")
+        weighted = apply_weights(vector_normalize(m), w)
+        try:
+            seps = separations(weighted, ideal_points(weighted, m.directions))
+            cis = [closeness(p, q) for p, q in seps]
+        except DegenerateAlternative:
+            with pytest.raises(DegenerateAlternative):
+                topsis_rank(m, w)
+            continue
+        result = topsis_rank(m, w)
+        assert [(r.s_plus, r.s_minus) for r in result.rows] == seps
+        assert list(result.closenesses()) == cis
+        assert list(result.ranks()) == rank(cis)
 
 
 def test_topsis_rank_exact_ties_go_to_earlier_index():

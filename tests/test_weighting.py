@@ -250,3 +250,18 @@ def test_all_weight_vectors_on_simplex(rng):
         for w in vectors:
             assert abs(sum(w.weights) - 1.0) <= 1e-12
             assert all(x >= 0 for x in w.weights)
+
+
+def test_weightings_hold_python_floats(rng):
+    m = random_matrix(rng, m=5, n=4)
+    vectors = [
+        equal_weights(m.n),
+        manual_weights([1, 2.5, 0, 3]),
+        std_dev_weights(m, Basis.RAW),
+        std_dev_weights(m, Basis.VECTOR_NORMALIZED),
+        entropy_weights(m),
+        ahp_weights(consistent_pairwise([1, 2, 4])).weights,
+    ]
+    for w in vectors:
+        assert all(type(x) is float for x in w.weights), w
+        assert "np." not in repr(w)
