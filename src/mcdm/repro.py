@@ -20,7 +20,7 @@ from .errors import McdmError
 from .ingest import parse_matrix_csv
 from .model import DecisionMatrix, Direction, TopsisResult, new_matrix, transpose
 from .reporting import parse_topsis_json
-from .topsis import rank, topsis_rank
+from .topsis import closeness, rank, topsis_rank
 from .weighting import Basis, entropy_weights, equal_weights, std_dev_weights
 
 
@@ -212,7 +212,7 @@ def reproduce(config: ReproConfig) -> ConfigReport:
 def internal_consistency_deltas() -> list[float]:
     """|s_minus/(s_plus+s_minus) - published ci| for each published row."""
     return [
-        abs(r.s_minus / (r.s_plus + r.s_minus) - r.closeness)
+        abs(closeness(r.s_plus, r.s_minus) - r.closeness)
         for r in builtin_expected().rows
     ]
 

@@ -20,6 +20,7 @@ from .model import DecisionMatrix, WeightVector, new_matrix
 from .topsis import (
     _batch_topsis,
     _benefit_mask,
+    _closeness,
     _ranks,
     _separations,
     _unit_columns,
@@ -30,8 +31,11 @@ DEFAULT_STEP = 0.01
 DEFAULT_MAX_DELTA = 0.25
 
 _FEASIBILITY_EPS = 1e-9
-# Bounds the largest array of one stacked leave-one-out pass over c removals:
-# the (c, m-1, m-1) pair masks or the (c, m-1, n) kernel temporaries.
+# The most grid steps on each side of a weight: round(max_delta / step).
+_MAX_GRID_STEPS = 10_000
+# Bounds the largest array of one stacked kernel call: the (k, m, n)
+# temporaries of k grid rows, or of one leave-one-out pass over k removals,
+# whose (k, m-1, m-1) pair masks it also bounds.
 _CHUNK_ELEMENTS = 1 << 18
 
 
@@ -78,13 +82,13 @@ def _perturbed(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One row of w per delta: w[j] shifted by delta, the rest rescaled to sum 1.
 
-    Also returns two masks over the deltas: the shifted weight leaves [0, 1]
-    (beyond _FEASIBILITY_EPS), and the delta takes weight away from a w[j]
-    of 1, which leaves nothing to rescale. Rows under either mask are not
-    perturbations.
+    Also returns two masks over the deltas: the shifted weight is NaN or
+    leaves [0, 1] (beyond _FEASIBILITY_EPS), and the delta takes weight away
+    from a w[j] of 1, which leaves nothing to rescale. Rows under either mask
+    are not perturbations.
     """
     shifted = w[j] + deltas
-    out_of_range = (shifted < -_FEASIBILITY_EPS) | (shifted > 1 + _FEASIBILITY_EPS)
+    out_of_range = ~((shifted >= -_FEASIBILITY_EPS) & (shifted <= 1 + _FEASIBILITY_EPS))
     pinned = (w[j] == 1.0) & (deltas < 0)
     new_wj = np.clip(shifted, 0.0, 1.0)
     scale = (1.0 - new_wj) / (1.0 - w[j]) if w[j] != 1.0 else np.zeros_like(new_wj)
@@ -120,30 +124,34 @@ def rank_stability(
     """
     if not 0 < step <= max_delta <= 1:
         raise OutOfRange("need 0 < step <= max_delta <= 1")
+    steps = round(max_delta / step)
+    if steps > _MAX_GRID_STEPS:
+        raise OutOfRange(f"grid too fine: max_delta / step exceeds {_MAX_GRID_STEPS}")
     baseline = topsis_rank(matrix, weights)
     base_top = baseline.ranks().index(1)
 
-    steps = int(round(max_delta / step))
-    deltas = []
-    for k in range(1, steps + 1):
-        deltas.extend([k * step, -k * step])
-    deltas.sort(key=lambda d: (abs(d), -d))  # smallest magnitude first, + before -
-    deltas = np.array(deltas)
+    # Smallest magnitude first, + before -.
+    magnitudes = np.arange(1, steps + 1) * step
+    deltas = np.stack([magnitudes, -magnitudes], 1).ravel()
 
     unit = _unit_columns(matrix.values)
     benefit = _benefit_mask(matrix.directions)
     w = weights.to_array()
+    chunk = max(1, _CHUNK_ELEMENTS // (matrix.m * matrix.n))
     sweeps = []
     preserved = 0
     total = 0
     for j, criterion in enumerate(matrix.criteria):
-        # One kernel call per criterion keeps the (k, m, n) temporaries small.
         rows, out_of_range, pinned = _perturbed(w, j, deltas)
         feasible = ~(out_of_range | pinned)
         rows = rows[feasible]
         for row in rows.tolist():
             WeightVector(weights=tuple(row), method=weights.method)  # validates the row
-        ranks = _batch_topsis(unit, rows, benefit)[3].tolist() if len(rows) else []
+        ranks = [
+            r
+            for start in range(0, len(rows), chunk)
+            for r in _batch_topsis(unit, rows[start : start + chunk], benefit)[3].tolist()
+        ]
         grid = []
         flip: float | None = None
         for delta, point in zip(deltas[feasible].tolist(), map(tuple, ranks)):
@@ -182,10 +190,10 @@ def _removal_effects(
     m = matrix.m
     # survivors[s] holds the rows left after removing row removed[s], in order.
     survivors = np.arange(m - 1) + (np.arange(m - 1) >= removed[:, None])
-    s_plus, s_minus = _separations(_unit_columns(matrix.values[survivors]), w, benefit)
-    total = s_plus + s_minus
-    degenerate = np.any(total <= 0, axis=1)
-    ranks = _ranks(s_minus / np.where(degenerate[:, None], 1.0, total))
+    unit = _unit_columns(matrix.values[survivors])
+    c, undefined = _closeness(*_separations(unit, w, benefit))
+    degenerate = undefined.any(axis=1)
+    ranks = _ranks(c)
     # Survivor pairs, earlier input index first, whose relative order flipped.
     base = baseline[survivors]
     before = base[:, :, None] < base[:, None, :]

@@ -52,8 +52,15 @@ def _reject_norms(x: np.ndarray, squares: np.ndarray) -> None:
     raise InvalidValue("cannot normalize a column whose squared norm is subnormal")
 
 
+def _ideal(
+    high: np.ndarray, low: np.ndarray, benefit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ideal and anti-ideal points from each column's high and low values."""
+    return np.where(benefit, high, low), np.where(benefit, low, high)
+
+
 def _distances(weighted: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Euclidean distance of each (k, m, n) row from its (k, n) reference point."""
+    """Euclidean distance of each (k, m, n) row from its (k, n) point; k may broadcast."""
     diff = weighted - points[:, None, :]
     return np.sqrt(np.square(diff, out=diff).sum(axis=2))
 
@@ -72,10 +79,15 @@ def _separations(
     if weights.shape[1] != unit.shape[-1]:
         raise DimensionMismatch("weight count does not match criterion count")
     weighted = unit * weights[:, None, :]
-    high, low = weights * unit.max(axis=-2), weights * unit.min(axis=-2)
-    s_plus = _distances(weighted, np.where(benefit, high, low))
-    s_minus = _distances(weighted, np.where(benefit, low, high))
-    return s_plus, s_minus
+    ideal, anti = _ideal(weights * unit.max(axis=-2), weights * unit.min(axis=-2), benefit)
+    return _distances(weighted, ideal), _distances(weighted, anti)
+
+
+def _closeness(s_plus: np.ndarray, s_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closeness s_minus / (s_plus + s_minus), 0 where undefined, and the undefined mask."""
+    total = s_plus + s_minus
+    undefined = total <= 0
+    return s_minus / np.where(undefined, 1.0, total), undefined
 
 
 def _ranks(c: np.ndarray) -> np.ndarray:
@@ -95,10 +107,9 @@ def _batch_topsis(
     bit-identical to the staged functions below on that row's weights.
     """
     s_plus, s_minus = _separations(unit, weights, benefit)
-    total = s_plus + s_minus
-    if np.any(total <= 0):
+    c, undefined = _closeness(s_plus, s_minus)
+    if undefined.any():
         raise DegenerateAlternative("closeness undefined when both separations are zero")
-    c = s_minus / total
     return s_plus, s_minus, c, _ranks(c)
 
 
@@ -124,16 +135,8 @@ def ideal_points(weighted: np.ndarray, directions: Sequence[Direction]) -> Ideal
     weighted = np.asarray(weighted, dtype=float)
     if weighted.shape[1] != len(directions):
         raise DimensionMismatch("direction count does not match column count")
-    ideal, anti = [], []
-    for j, d in enumerate(directions):
-        col = weighted[:, j]
-        if d is Direction.BENEFIT:
-            ideal.append(float(col.max()))
-            anti.append(float(col.min()))
-        else:
-            ideal.append(float(col.min()))
-            anti.append(float(col.max()))
-    return IdealPoints(ideal=tuple(ideal), anti_ideal=tuple(anti))
+    ideal, anti = _ideal(weighted.max(axis=0), weighted.min(axis=0), _benefit_mask(directions))
+    return IdealPoints(ideal=tuple(ideal.tolist()), anti_ideal=tuple(anti.tolist()))
 
 
 def separations(
@@ -141,13 +144,10 @@ def separations(
 ) -> list[tuple[float, float]]:
     """Euclidean distances of each row from the ideal and anti-ideal points."""
     weighted = np.asarray(weighted, dtype=float)
-    ideal = np.array(points.ideal)
-    anti = np.array(points.anti_ideal)
-    if weighted.shape[1] != ideal.size:
+    if weighted.shape[1] != len(points.ideal):
         raise DimensionMismatch("ideal point length does not match column count")
-    s_plus = np.sqrt(((weighted - ideal) ** 2).sum(axis=1))
-    s_minus = np.sqrt(((weighted - anti) ** 2).sum(axis=1))
-    return [(float(p), float(m)) for p, m in zip(s_plus, s_minus)]
+    s_plus, s_minus = _distances(weighted[None], np.array([points.ideal, points.anti_ideal]))
+    return list(zip(s_plus.tolist(), s_minus.tolist()))
 
 
 def closeness(s_plus: float, s_minus: float) -> float:
@@ -160,13 +160,7 @@ def closeness(s_plus: float, s_minus: float) -> float:
 
 def rank(closeness_values: Sequence[float]) -> list[int]:
     """Rank 1 = largest closeness; ties go to the earlier index."""
-    order = sorted(
-        range(len(closeness_values)), key=lambda i: (-closeness_values[i], i)
-    )
-    ranks = [0] * len(closeness_values)
-    for position, i in enumerate(order, start=1):
-        ranks[i] = position
-    return ranks
+    return _ranks(np.asarray(closeness_values, dtype=float)[None])[0].tolist()
 
 
 def topsis_rank(matrix: DecisionMatrix, weights: WeightVector) -> TopsisResult:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .ingest import _lines
 from .model import DecisionMatrix, WeightVector
-from .topsis import _unit_columns
+from .topsis import _TINY, _unit_columns
 
 # Saaty's random consistency indices for n = 1..10 (external AHP constants).
 RANDOM_INDEX = (0.0, 0.0, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
@@ -106,10 +106,14 @@ def std_dev_weights(
     if basis is Basis.VECTOR_NORMALIZED:
         x = _unit_columns(x)
     with np.errstate(over="ignore"):  # reported below
-        sigma = x.std(axis=0, ddof=1)
+        variance = x.var(axis=0, ddof=1)
+        sigma = np.sqrt(variance)
         total = sigma.sum()
     if not np.isfinite(total):
         raise InvalidValue("cannot weight by a standard deviation that overflows to infinity")
+    tiny = x[:, variance < _TINY]
+    if np.any(tiny.max(axis=0) != tiny.min(axis=0)):
+        raise InvalidValue("cannot weight a varied column whose variance underflows")
     if total == 0:
         raise DegenerateMatrix("every column is constant")
     return WeightVector(weights=tuple((sigma / total).tolist()), method="std_dev")

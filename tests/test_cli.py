@@ -99,6 +99,29 @@ def test_overflowing_weight_reduction_is_one_line_error(
     assert err == f"error: {message}\n"
 
 
+def test_underflowing_raw_variance_is_one_line_error(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        ",c1,c2\ndirection,benefit,cost\n"
+        "a,1e-200,2e-200\nb,3e-200,1e-200\nc,2e-200,4e-200\n"
+    )
+    code, out, err = run_cli(capsys, "weights", "--input", str(path), "--basis", "raw")
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot weight a varied column whose variance underflows\n"
+
+
+def test_sensitivity_grid_too_fine_is_one_line_error(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(",c1,c2\ndirection,benefit,cost\na,5,1\nb,2,4\nc,3,3\n")
+    code, out, err = run_cli(
+        capsys, "sensitivity", "--input", str(path), "--step", "1e-5", "--max-delta", "0.10001"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: grid too fine: max_delta / step exceeds 10000\n"
+
+
 def test_missing_input(capsys):
     code, _, err = run_cli(capsys, "rank", "--input", "/nonexistent.csv")
     assert code == 1
@@ -188,6 +211,21 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_sensitivity_matches_golden_bytes(fmt, golden):
     # Captured from the looped sweep; the default grid on the bundled fixture.
     proc = _run_process("sensitivity", "--input", str(fixture_csv_path()), "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fmt, golden",
+    [
+        ("table", "rank_table1.txt"),
+        ("json", "rank_table1.json"),
+        ("svg", "rank_table1.svg"),
+    ],
+)
+def test_rank_matches_golden_bytes(fmt, golden):
+    # The bundled fixture under the default weights (std_dev, normalized basis).
+    proc = _run_process("rank", "--input", str(fixture_csv_path()), "--format", fmt)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / golden).read_bytes()
 

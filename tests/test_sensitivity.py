@@ -58,6 +58,12 @@ class TestPerturbWeights:
         with pytest.raises(OutOfRange):
             perturb_weights(w(0.5, 0.5), 0, -0.6)
 
+    @pytest.mark.parametrize("base", [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_delta_is_out_of_range(self, base, delta):
+        with pytest.raises(OutOfRange, match="leaves"):
+            perturb_weights(w(*base), 0, delta)
+
     def test_degenerate_base(self):
         with pytest.raises(DegenerateBase):
             perturb_weights(w(1.0, 0.0), 0, -0.1)
@@ -83,6 +89,14 @@ def dominant_matrix():
     )
 
 
+def three_by_two():
+    return new_matrix(
+        ["A", "B", "C"],
+        [Criterion("c1", B), Criterion("c2", C)],
+        [[5.0, 1.0], [2.0, 4.0], [3.0, 3.0]],
+    )
+
+
 class TestRankStability:
     def test_dominant_is_stable(self):
         report = rank_stability(dominant_matrix(), w(0.5, 0.5), 0.05, 0.2)
@@ -99,6 +113,17 @@ class TestRankStability:
     def test_bad_grid_params(self):
         with pytest.raises(OutOfRange):
             rank_stability(dominant_matrix(), w(0.5, 0.5), 0.5, 0.2)
+
+    def test_grid_step_limit(self):
+        limit = mcdm.sensitivity._MAX_GRID_STEPS
+        step, max_delta = 1e-5, 0.10001
+        assert round(max_delta / step) == limit + 1
+        with pytest.raises(OutOfRange, match=f"exceeds {limit}"):
+            rank_stability(three_by_two(), w(0.5, 0.5), step, max_delta)
+        assert round(1.0 / 1e-4) == limit
+        report = rank_stability(three_by_two(), w(0.5, 0.5), 1e-4, 1.0)
+        # a weight of 0.5 stays in [0, 1] for the half of the grid within +/- 0.5
+        assert [len(c.grid) for c in report.criteria] == [limit, limit]
 
     def test_flip_threshold_vs_fine_grid_oracle(self):
         # near-tied top two: criterion 1 favors A, criterion 2 favors B
@@ -411,6 +436,35 @@ class TestStackedLeaveOneOut:
             leave_one_out(m, w(0.5, 0.5))
         with pytest.raises(error, match=message):
             _leave_one_out_loop(m, w(0.5, 0.5))
+
+
+class TestChunkedGrid:
+    """rank_stability ranks each criterion's grid in chunks of at most
+    _CHUNK_ELEMENTS // (m * n) weight rows; one call per grid point is the reference."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tie_prone(), st.integers(1, 60))
+    def test_matches_loop_with_small_chunks(self, case, budget):
+        matrix, weights = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcdm.sensitivity, "_CHUNK_ELEMENTS", budget)
+            got = _outcome(lambda: rank_stability(matrix, weights, 0.1, 0.5))
+        assert got == _outcome(lambda: _stability_loop(matrix, weights, 0.1, 0.5))
+
+    def test_kernel_calls_stay_within_budget(self, monkeypatch, rng):
+        matrix = random_matrix(rng, m=6, n=4)
+        whole = rank_stability(matrix, equal_weights(4))
+        sizes = []
+        real = mcdm.sensitivity._batch_topsis
+
+        def recording(unit, rows, benefit):
+            sizes.append(rows.shape[0] * unit.size)
+            return real(unit, rows, benefit)
+
+        monkeypatch.setattr(mcdm.sensitivity, "_CHUNK_ELEMENTS", 100)
+        monkeypatch.setattr(mcdm.sensitivity, "_batch_topsis", recording)
+        assert rank_stability(matrix, equal_weights(4)) == whole
+        assert len(sizes) > matrix.n and max(sizes) <= 100
 
 
 class TestSweepErrors:

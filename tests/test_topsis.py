@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcdm.errors import DegenerateAlternative, DimensionMismatch, InvalidValue, ZeroColumn
 from mcdm.model import Criterion, Direction, WeightVector, new_matrix
@@ -228,6 +230,43 @@ def test_topsis_rank_equals_staged_functions_with_signed_zeros_and_zero_weights(
         assert [(r.s_plus, r.s_minus) for r in result.rows] == seps
         assert list(result.closenesses()) == cis
         assert list(result.ranks()) == rank(cis)
+
+
+# Signed zeros, repeated values and small integers: the cases where ties decide.
+tie_prone_value = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, 15.0]) | st.integers(0, 15).map(float)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(tie_prone_value, max_size=15))
+def test_rank_is_descending_order_with_ties_by_index(c):
+    want = [0] * len(c)
+    for position, i in enumerate(sorted(range(len(c)), key=lambda i: (-c[i], i)), start=1):
+        want[i] = position
+    got = rank(c)
+    assert got == want
+    assert all(type(r) is int for r in got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(tie_prone_value, min_size=n, max_size=n), min_size=1, max_size=15),
+            st.lists(st.sampled_from([B, C]), min_size=n, max_size=n),
+        )
+    )
+)
+def test_ideal_points_are_column_max_and_min(case):
+    values, directions = case
+    ideal, anti = [], []
+    for j, d in enumerate(directions):
+        col = [row[j] for row in values]
+        ideal.append(max(col) if d is B else min(col))
+        anti.append(min(col) if d is B else max(col))
+    p = ideal_points(np.array(values), directions)
+    assert p.ideal == tuple(ideal)
+    assert p.anti_ideal == tuple(anti)
+    assert all(type(v) is float for v in p.ideal + p.anti_ideal)
 
 
 def test_topsis_rank_exact_ties_go_to_earlier_index():

@@ -96,6 +96,18 @@ class TestStdDevWeights:
         with pytest.raises(DegenerateMatrix):
             std_dev_weights(cols_matrix([2, 2], [3, 3]), Basis.RAW)
 
+    def test_underflowing_variance(self):
+        # deviations of 1e-200 square to zero: the column varies but reads constant
+        with pytest.raises(InvalidValue, match="variance underflows"):
+            std_dev_weights(cols_matrix([1e-200, 3e-200], [1, 5]), Basis.RAW)
+        # a subnormal variance has already lost precision
+        with pytest.raises(InvalidValue, match="variance underflows"):
+            std_dev_weights(cols_matrix([0.0, 1e-160], [1, 5]), Basis.RAW)
+
+    def test_tiny_constant_column_gets_zero(self):
+        w = std_dev_weights(cols_matrix([1e-200, 1e-200], [1, 5]), Basis.RAW)
+        assert w.weights == (0.0, 1.0)
+
     def test_insufficient_rows(self):
         with pytest.raises(InsufficientRows):
             std_dev_weights(cols_matrix([2]), Basis.RAW)
