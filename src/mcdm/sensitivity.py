@@ -6,6 +6,7 @@ relative importance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,7 +17,7 @@ from .errors import (
     OutOfRange,
     TooFewAlternatives,
 )
-from .model import DecisionMatrix, WeightVector, new_matrix
+from .model import WEIGHT_SUM_TOL, DecisionMatrix, WeightVector, new_matrix
 from .topsis import (
     _batch_topsis,
     _benefit_mask,
@@ -111,6 +112,20 @@ def perturb_weights(weights: WeightVector, j: int, delta: float) -> WeightVector
     return WeightVector(weights=tuple(rows[0].tolist()), method=weights.method)
 
 
+def _check_weight_rows(rows: np.ndarray, method: str) -> None:
+    """Raise what WeightVector raises for the first of the (k, n) rows it rejects.
+
+    The rows are screened by WeightVector's two rules, the row sum taken with
+    the same ``sum``; only screened-out rows build a WeightVector.
+    """
+    rejected = ~(np.isfinite(rows) & (rows >= 0)).all(axis=1)
+    rejected |= np.array(
+        [abs(sum(row) - 1.0) > WEIGHT_SUM_TOL for row in rows.tolist()], dtype=bool
+    )
+    for row in rows[rejected].tolist():
+        WeightVector(weights=tuple(row), method=method)
+
+
 def rank_stability(
     matrix: DecisionMatrix,
     weights: WeightVector,
@@ -124,9 +139,10 @@ def rank_stability(
     """
     if not 0 < step <= max_delta <= 1:
         raise OutOfRange("need 0 < step <= max_delta <= 1")
-    steps = round(max_delta / step)
-    if steps > _MAX_GRID_STEPS:
+    ratio = max_delta / step
+    if not math.isfinite(ratio) or round(ratio) > _MAX_GRID_STEPS:
         raise OutOfRange(f"grid too fine: max_delta / step exceeds {_MAX_GRID_STEPS}")
+    steps = round(ratio)
     baseline = topsis_rank(matrix, weights)
     base_top = baseline.ranks().index(1)
 
@@ -144,25 +160,28 @@ def rank_stability(
     for j, criterion in enumerate(matrix.criteria):
         rows, out_of_range, pinned = _perturbed(w, j, deltas)
         feasible = ~(out_of_range | pinned)
-        rows = rows[feasible]
-        for row in rows.tolist():
-            WeightVector(weights=tuple(row), method=weights.method)  # validates the row
-        ranks = [
-            r
-            for start in range(0, len(rows), chunk)
-            for r in _batch_topsis(unit, rows[start : start + chunk], benefit)[3].tolist()
-        ]
-        grid = []
-        flip: float | None = None
-        for delta, point in zip(deltas[feasible].tolist(), map(tuple, ranks)):
-            grid.append(GridPoint(delta=delta, ranks=point))
-            total += 1
-            if point.index(1) == base_top:
-                preserved += 1
-            elif flip is None or abs(delta) < flip:
-                flip = abs(delta)
+        rows, row_deltas = rows[feasible], deltas[feasible]
+        _check_weight_rows(rows, weights.method)
+        ranks = np.empty((len(rows), matrix.m), dtype=np.intp)
+        for start in range(0, len(rows), chunk):
+            ranks[start : start + chunk] = _batch_topsis(
+                unit, rows[start : start + chunk], benefit
+            )[3]
+        # Each rank row is a permutation, so rank 1 at base_top keeps the top.
+        keeps_top = ranks[:, base_top] == 1
+        flips = np.abs(row_deltas[~keeps_top])
+        preserved += int(keeps_top.sum())
+        total += len(rows)
+        grid = tuple(
+            GridPoint(delta=d, ranks=tuple(r))
+            for d, r in zip(row_deltas.tolist(), ranks.tolist())
+        )
         sweeps.append(
-            CriterionSweep(criterion=criterion.name, flip_threshold=flip, grid=tuple(grid))
+            CriterionSweep(
+                criterion=criterion.name,
+                flip_threshold=float(flips.min()) if len(flips) else None,
+                grid=grid,
+            )
         )
 
     score = preserved / total if total else 1.0
@@ -197,9 +216,10 @@ def _removal_effects(
     # Survivor pairs, earlier input index first, whose relative order flipped.
     base = baseline[survivors]
     before = base[:, :, None] < base[:, None, :]
-    flipped = np.triu(before != (ranks[:, :, None] < ranks[:, None, :]), 1)
+    flipped = before != (ranks[:, :, None] < ranks[:, None, :])
+    flipped &= np.arange(m - 1)[:, None] < np.arange(m - 1)
     flipped[degenerate] = False  # closeness is undefined there: no pairs to report
-    slot, a, b = np.nonzero(flipped)
+    slot, a, b = np.unravel_index(np.flatnonzero(flipped), flipped.shape)
     ahead = np.where(before[slot, a, b], survivors[slot, a], survivors[slot, b])
     behind = np.where(before[slot, a, b], survivors[slot, b], survivors[slot, a])
     labels = matrix.alternatives

@@ -1,7 +1,9 @@
 """TOPSIS ranking engine: normalize, weight, ideal points, separations, rank.
 
 Vector normalization is the only normalization offered; separations use the
-Euclidean metric. Ranks break ties by input index (stable).
+Euclidean metric. Ranks break ties by input index: rows of distinct closeness
+values are ranked by numpy's default (unstable, SIMD) sort, which has only one
+order to find, and rows with a tie are sorted again with a stable sort.
 """
 from __future__ import annotations
 
@@ -91,10 +93,22 @@ def _closeness(s_plus: np.ndarray, s_minus: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _ranks(c: np.ndarray) -> np.ndarray:
-    """Ranks within each row of c; rank 1 = largest, ties go to the earlier index."""
-    order = np.argsort(-c, axis=1, kind="stable")
+    """Ranks within each row of c; rank 1 = largest, ties go to the earlier index.
+
+    A row whose keys are all distinct has one sorted order, so numpy's default
+    (fastest, unstable) sort ranks it. A row whose sorted keys do not strictly
+    increase holds a repeated value, both signed zeros or a NaN; only such rows
+    are sorted again, stably, which puts ties in index order.
+    """
+    keys = -c
+    order = np.argsort(keys, axis=1)
+    row = np.arange(len(c))[:, None]
+    ordered = keys[row, order]
+    tied = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, c.shape[1] + 1), axis=1)
+    ranks[row, order] = np.arange(1, c.shape[1] + 1)
     return ranks
 
 

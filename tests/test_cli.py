@@ -122,6 +122,18 @@ def test_sensitivity_grid_too_fine_is_one_line_error(capsys, tmp_path):
     assert err == "error: grid too fine: max_delta / step exceeds 10000\n"
 
 
+def test_sensitivity_step_overflowing_the_grid_ratio_is_one_line_error(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(",c1,c2\ndirection,benefit,cost\na,5,1\nb,2,4\nc,3,3\n")
+    # 0.5 / 1e-320 overflows to infinity, which has no integer step count.
+    code, out, err = run_cli(
+        capsys, "sensitivity", "--input", str(path), "--step", "1e-320", "--max-delta", "0.5"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: grid too fine: max_delta / step exceeds 10000\n"
+
+
 def test_missing_input(capsys):
     code, _, err = run_cli(capsys, "rank", "--input", "/nonexistent.csv")
     assert code == 1

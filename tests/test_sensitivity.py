@@ -125,6 +125,12 @@ class TestRankStability:
         # a weight of 0.5 stays in [0, 1] for the half of the grid within +/- 0.5
         assert [len(c.grid) for c in report.criteria] == [limit, limit]
 
+    @pytest.mark.parametrize("step, max_delta", [(5e-324, 1.0), (1e-320, 0.5)])
+    def test_grid_ratio_overflow_is_too_fine(self, step, max_delta):
+        assert max_delta / step == float("inf")
+        with pytest.raises(OutOfRange, match="grid too fine"):
+            rank_stability(three_by_two(), w(0.5, 0.5), step, max_delta)
+
     def test_flip_threshold_vs_fine_grid_oracle(self):
         # near-tied top two: criterion 1 favors A, criterion 2 favors B
         m = new_matrix(
@@ -169,6 +175,38 @@ class TestRankStability:
         )
         report = rank_stability(m, w(0.52, 0.48, 0.0), step=0.005, max_delta=0.01)
         assert report.stability_score == 1.0
+
+
+class TestGridRowValidation:
+    """Each criterion's feasible grid rows obey WeightVector's rules, first bad row first."""
+
+    def test_row_sum_beyond_tolerance(self):
+        # 1 - w[0] is one ulp, so rescaling w[1] by (1 - new w[0]) / ulp misses the sum.
+        base = WeightVector((0.9999999999999999, 1e-16), "manual")
+        with pytest.raises(InvalidValue, match="weights must sum to 1"):
+            rank_stability(three_by_two(), base)
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (-0.25, None, "weights must be finite and nonnegative"),
+            (float("nan"), None, "weights must be finite and nonnegative"),
+            (float("inf"), None, "weights must be finite and nonnegative"),
+            (2.0, float("nan"), "weights must sum to 1"),
+            (float("nan"), 2.0, "weights must be finite and nonnegative"),
+        ],
+    )
+    def test_bad_rows_injected_into_the_grid(self, monkeypatch, first, second, message):
+        def injected(weights, j, deltas):
+            rows, out_of_range, pinned = _perturbed(weights, j, deltas)
+            for i, value in ((3, first), (4, second)):
+                if value is not None:
+                    rows[i, 1 - j] = value
+            return rows, out_of_range, pinned
+
+        monkeypatch.setattr(mcdm.sensitivity, "_perturbed", injected)
+        with pytest.raises(InvalidValue, match=message):
+            rank_stability(three_by_two(), w(0.5, 0.5))
 
 
 class TestLeaveOneOut:

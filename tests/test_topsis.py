@@ -9,6 +9,7 @@ from mcdm.errors import DegenerateAlternative, DimensionMismatch, InvalidValue, 
 from mcdm.model import Criterion, Direction, WeightVector, new_matrix
 from mcdm.topsis import (
     IdealPoints,
+    _ranks,
     apply_weights,
     closeness,
     ideal_points,
@@ -245,6 +246,51 @@ def test_rank_is_descending_order_with_ties_by_index(c):
     got = rank(c)
     assert got == want
     assert all(type(r) is int for r in got)
+
+
+def stable_sort_ranks(c):
+    """Ranks from one stable argsort of every row: the rule _ranks must reproduce."""
+    order = np.argsort(-c, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, c.shape[1] + 1), axis=1)
+    return ranks
+
+
+rank_key = (
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.0, np.inf, -np.inf, np.nan])
+    | st.floats(0, 1)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(
+        lambda km: st.lists(
+            st.lists(rank_key, min_size=km[1], max_size=km[1]), min_size=km[0], max_size=km[0]
+        ).map(lambda rows: np.array(rows, dtype=float).reshape(km))
+    )
+)
+def test_ranks_equal_one_stable_sort_row_by_row(c):
+    got = _ranks(c)
+    assert got.shape == c.shape
+    assert np.array_equal(got, stable_sort_ranks(c))
+
+
+def test_ranks_mixes_tied_and_untied_rows():
+    c = np.array(
+        [
+            [0.3, 0.1, 0.2, 0.7],
+            [0.5, 0.1, 0.5, 0.5],
+            [0.0, -0.0, 0.2, 0.1],
+            [np.nan, 0.4, np.nan, 0.9],
+            [np.inf, -np.inf, 0.6, 0.8],
+        ]
+    )
+    want = [[2, 4, 3, 1], [1, 4, 2, 3], [3, 4, 1, 2], [3, 2, 4, 1], [1, 4, 3, 2]]
+    assert _ranks(c).tolist() == want
+    assert np.array_equal(_ranks(c), stable_sort_ranks(c))
+    assert _ranks(c[:1]).tolist() == want[:1]
+    assert _ranks(np.empty((0, 4))).shape == (0, 4)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
