@@ -161,7 +161,10 @@ def aggregate_survey(
         if not r.respondent_group or not r.item:
             raise InvalidValue("group and item labels must be non-empty")
         if not lo <= r.rating <= hi:
-            raise InvalidValue("rating outside the configured Likert range")
+            raise InvalidValue(
+                f"rating outside the configured Likert range: group {r.respondent_group!r}, "
+                f"item {r.item!r}, rating {r.rating!r}, range {lo!r} to {hi!r}"
+            )
         if r.respondent_group not in groups:
             groups.append(r.respondent_group)
         if r.item not in items:

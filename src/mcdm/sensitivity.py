@@ -19,9 +19,9 @@ from .errors import (
 )
 from .model import WEIGHT_SUM_TOL, DecisionMatrix, WeightVector, new_matrix
 from .topsis import (
-    _batch_topsis,
     _benefit_mask,
     _closeness,
+    _grid_ranks,
     _ranks,
     _separations,
     _unit_columns,
@@ -150,7 +150,7 @@ def rank_stability(
     magnitudes = np.arange(1, steps + 1) * step
     deltas = np.stack([magnitudes, -magnitudes], 1).ravel()
 
-    unit = _unit_columns(matrix.values)
+    unit = _unit_columns(matrix.values, matrix.criteria)
     benefit = _benefit_mask(matrix.directions)
     w = weights.to_array()
     chunk = max(1, _CHUNK_ELEMENTS // (matrix.m * matrix.n))
@@ -164,9 +164,9 @@ def rank_stability(
         _check_weight_rows(rows, weights.method)
         ranks = np.empty((len(rows), matrix.m), dtype=np.intp)
         for start in range(0, len(rows), chunk):
-            ranks[start : start + chunk] = _batch_topsis(
+            ranks[start : start + chunk] = _grid_ranks(
                 unit, rows[start : start + chunk], benefit
-            )[3]
+            )
         # Each rank row is a permutation, so rank 1 at base_top keeps the top.
         keeps_top = ranks[:, base_top] == 1
         flips = np.abs(row_deltas[~keeps_top])
@@ -209,7 +209,7 @@ def _removal_effects(
     m = matrix.m
     # survivors[s] holds the rows left after removing row removed[s], in order.
     survivors = np.arange(m - 1) + (np.arange(m - 1) >= removed[:, None])
-    unit = _unit_columns(matrix.values[survivors])
+    unit = _unit_columns(matrix.values[survivors], matrix.criteria)
     c, undefined = _closeness(*_separations(unit, w, benefit))
     degenerate = undefined.any(axis=1)
     ranks = _ranks(c)

@@ -4,6 +4,9 @@ Vector normalization is the only normalization offered; separations use the
 Euclidean metric. Ranks break ties by input index: rows of distinct closeness
 values are ranked by numpy's default (unstable, SIMD) sort, which has only one
 order to find, and rows with a tie are sorted again with a stable sort.
+Sensitivity grids need only ranks: ``_grid_ranks`` takes them from two matrix
+products wherever a proven error bound shows they are the kernel's, and runs
+the kernel on the remaining, near-tied rows.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateAlternative, DimensionMismatch, InvalidValue, ZeroColumn
-from .model import DecisionMatrix, Direction, TopsisResult, TopsisRow, WeightVector
+from .model import Criterion, DecisionMatrix, Direction, TopsisResult, TopsisRow, WeightVector
 
 
 @dataclass(frozen=True)
@@ -26,11 +29,11 @@ class IdealPoints:
 _TINY = np.finfo(float).tiny
 
 
-def _unit_columns(x: np.ndarray) -> np.ndarray:
+def _unit_columns(x: np.ndarray, criteria: Sequence[Criterion]) -> np.ndarray:
     """Divide every column of each (..., m, n) slice by its Euclidean norm.
 
     Over a stack, the first slice that cannot be normalized raises the error
-    that normalizing that slice alone raises.
+    that normalizing that slice alone raises, naming one of ``criteria``.
     """
     with np.errstate(over="ignore"):  # an overflowed norm is reported below
         squares = (x * x).sum(axis=-2)
@@ -38,20 +41,26 @@ def _unit_columns(x: np.ndarray) -> np.ndarray:
     if not in_range.all():
         slices = x.reshape(-1, *x.shape[-2:])
         k = int(np.argmin(in_range.reshape(len(slices), -1).all(axis=1)))
-        _reject_norms(slices[k], squares.reshape(len(slices), -1)[k])
+        _reject_norms(slices[k], squares.reshape(len(slices), -1)[k], criteria)
     return x / np.sqrt(squares)[..., None, :]
 
 
-def _reject_norms(x: np.ndarray, squares: np.ndarray) -> None:
+def _reject_norms(x: np.ndarray, squares: np.ndarray, criteria: Sequence[Criterion]) -> None:
     """Raise the error for an (m, n) array with a squared column norm out of range."""
-    if not np.isfinite(squares).all():
-        raise InvalidValue("cannot normalize a column whose norm overflows to infinity")
     zero = squares == 0
-    if np.any(x[:, zero]):
-        raise InvalidValue("cannot normalize a nonzero column whose norm underflows to zero")
-    if zero.any():
-        raise ZeroColumn("cannot normalize an all-zero column")
-    raise InvalidValue("cannot normalize a column whose squared norm is subnormal")
+    for fault, error, message in (
+        (~np.isfinite(squares), InvalidValue, "a column whose norm overflows to infinity"),
+        (zero & x.any(axis=0), InvalidValue, "a nonzero column whose norm underflows to zero"),
+        (zero, ZeroColumn, "an all-zero column"),
+        (squares < _TINY, InvalidValue, "a column whose squared norm is subnormal"),
+    ):
+        if fault.any():
+            raise error(_named(f"cannot normalize {message}", criteria, fault))
+
+
+def _named(message: str, criteria: Sequence[Criterion], fault: np.ndarray) -> str:
+    """``message`` ending with the name of the first criterion that ``fault`` marks."""
+    return f"{message}: criterion {criteria[int(np.argmax(fault))].name!r}"
 
 
 def _ideal(
@@ -127,13 +136,74 @@ def _batch_topsis(
     return s_plus, s_minus, c, _ranks(c)
 
 
+# Unit roundoff of float64.
+_U = 2.0**-53
+
+
+def _grid_closeness(
+    unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closeness of (k, n) weight rows over (m, n) unit columns by matrix products,
+    and a bound eps on its distance from the kernel's closeness, each (k, m).
+
+    Unit entries lie in [0, 1] and weights are nonnegative, so the kernel's
+    squared separations are, in exact arithmetic,
+    S^2 = sum_j w_j^2 (u_ij - a_j)^2, with a_j the unit column's max or min:
+    two products of squared weights with squared unit differences.
+
+    Error bound, with u = 2^-53 and the gamma_n analysis of summation (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3-4): each term is at
+    most w_j^2, so the kernel and the product each lie within (n + 8) u sum w^2
+    of the exact S^2, whatever the summation order or use of FMA. Their
+    difference is at most half of eta = 4 (n + 8) u sum w^2 + 1e-290, whose
+    floor covers underflow. As |sqrt(a) - sqrt(b)| is at most sqrt(|a - b|)
+    and at most |a - b| / sqrt(a), each separation then differs by at most
+    delta = min(sqrt(eta), eta / S); the other half of eta covers the rounding
+    of both square roots, at most u S each, as S <= sqrt(sum w^2). Moving S+
+    and S- by at most delta+ and delta- moves s- / (s+ + s-) by at most
+    (delta+ + 2 delta-) / (T - delta+ - delta-), with T = S+ + S-; 4u adds the
+    rounding of both closeness divisions. eps is infinite where
+    T <= delta+ + delta-, where the kernel's closeness may be undefined.
+    """
+    squared = weights * weights
+    ideal, anti = _ideal(unit.max(axis=0), unit.min(axis=0), benefit)
+    s_plus = np.sqrt(squared @ np.square(unit - ideal).T)
+    s_minus = np.sqrt(squared @ np.square(unit - anti).T)
+    eta = (4 * (unit.shape[1] + 8) * _U) * squared.sum(axis=1, keepdims=True) + 1e-290
+    root = np.sqrt(eta)
+    d_plus = eta / np.maximum(s_plus, root)
+    d_minus = eta / np.maximum(s_minus, root)
+    room = s_plus + s_minus - d_plus - d_minus
+    eps = np.divide(d_plus + 2 * d_minus, room, out=np.full_like(room, np.inf), where=room > 0)
+    return _closeness(s_plus, s_minus)[0], eps + 4 * _U
+
+
+def _grid_ranks(unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray) -> np.ndarray:
+    """``_batch_topsis(unit, weights, benefit)[3]``, with the kernel run only on near-ties.
+
+    A filter with an exact fallback, as in Shewchuk's adaptive predicates: a
+    row whose product closeness values (``_grid_closeness``) are all more than
+    twice the row's largest eps apart has the kernel's strict order, so it is
+    ranked from them. Every other row, including any whose closeness the
+    kernel leaves undefined, is ranked by the kernel, which raises as usual.
+    """
+    c, eps = _grid_closeness(unit, weights, benefit)
+    bound = 2 * eps.max(axis=1, keepdims=True)
+    ordered = np.sort(c, axis=1)
+    sure = (ordered[:, 1:] - ordered[:, :-1] > bound).all(axis=1) & np.isfinite(bound[:, 0])
+    ranks = _ranks(c)
+    if not sure.all():
+        ranks[~sure] = _batch_topsis(unit, weights[~sure], benefit)[3]
+    return ranks
+
+
 def _benefit_mask(directions: Sequence[Direction]) -> np.ndarray:
     return np.array([d is Direction.BENEFIT for d in directions])
 
 
 def vector_normalize(matrix: DecisionMatrix) -> DecisionMatrix:
     """The same matrix with every column divided by its Euclidean norm."""
-    unit = _unit_columns(matrix.values)
+    unit = _unit_columns(matrix.values, matrix.criteria)
     return DecisionMatrix(matrix.alternatives, matrix.criteria, unit)
 
 
@@ -181,7 +251,7 @@ def topsis_rank(matrix: DecisionMatrix, weights: WeightVector) -> TopsisResult:
     """Full pipeline; result rows stay in input alternative order."""
     if matrix.m < 2:
         raise DegenerateAlternative("TOPSIS needs at least two alternatives")
-    unit = _unit_columns(matrix.values)
+    unit = _unit_columns(matrix.values, matrix.criteria)
     columns = _batch_topsis(
         unit, weights.to_array()[None, :], _benefit_mask(matrix.directions)
     )

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .ingest import _lines
 from .model import DecisionMatrix, WeightVector
-from .topsis import _TINY, _unit_columns
+from .topsis import _TINY, _named, _unit_columns
 
 # Saaty's random consistency indices for n = 1..10 (external AHP constants).
 RANDOM_INDEX = (0.0, 0.0, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
@@ -104,16 +104,29 @@ def std_dev_weights(
         raise InsufficientRows("standard-deviation weighting needs at least two rows")
     x = matrix.values
     if basis is Basis.VECTOR_NORMALIZED:
-        x = _unit_columns(x)
+        x = _unit_columns(x, matrix.criteria)
     with np.errstate(over="ignore"):  # reported below
         variance = x.var(axis=0, ddof=1)
         sigma = np.sqrt(variance)
         total = sigma.sum()
     if not np.isfinite(total):
-        raise InvalidValue("cannot weight by a standard deviation that overflows to infinity")
+        # A finite sigma is below 1.4e154, so n of them do not overflow.
+        raise InvalidValue(
+            _named(
+                "cannot weight by a standard deviation that overflows to infinity",
+                matrix.criteria,
+                ~np.isfinite(sigma),
+            )
+        )
     tiny = x[:, variance < _TINY]
     if np.any(tiny.max(axis=0) != tiny.min(axis=0)):
-        raise InvalidValue("cannot weight a varied column whose variance underflows")
+        raise InvalidValue(
+            _named(
+                "cannot weight a varied column whose variance underflows",
+                matrix.criteria,
+                (variance < _TINY) & (x.max(axis=0) != x.min(axis=0)),
+            )
+        )
     if total == 0:
         raise DegenerateMatrix("every column is constant")
     return WeightVector(weights=tuple((sigma / total).tolist()), method="std_dev")
@@ -129,7 +142,13 @@ def entropy_weights(matrix: DecisionMatrix) -> WeightVector:
     if np.any(col_sums == 0):
         raise ZeroColumn("entropy weighting needs positive column sums")
     if not np.isfinite(col_sums).all():
-        raise InvalidValue("cannot weight a column whose sum overflows to infinity")
+        raise InvalidValue(
+            _named(
+                "cannot weight a column whose sum overflows to infinity",
+                matrix.criteria,
+                ~np.isfinite(col_sums),
+            )
+        )
     p = x / col_sums
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0, p * np.log(p), 0.0)

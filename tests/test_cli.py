@@ -69,7 +69,7 @@ def test_out_of_range_norm_is_one_line_error(capsys, tmp_path, cells, message, c
     code, out, err = run_cli(capsys, command, "--input", str(path))
     assert code == 1
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message}: criterion 'c1'\n"
 
 
 @pytest.mark.parametrize(
@@ -96,7 +96,7 @@ def test_overflowing_weight_reduction_is_one_line_error(
     code, out, err = run_cli(capsys, "weights", "--input", str(path), *options)
     assert code == 1
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message}: criterion 'c1'\n"
 
 
 def test_underflowing_raw_variance_is_one_line_error(capsys, tmp_path):
@@ -108,7 +108,30 @@ def test_underflowing_raw_variance_is_one_line_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "weights", "--input", str(path), "--basis", "raw")
     assert code == 1
     assert out == ""
-    assert err == "error: cannot weight a varied column whose variance underflows\n"
+    assert err == (
+        "error: cannot weight a varied column whose variance underflows: criterion 'c1'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "cells, options, message",
+    [
+        (("5,0,0", "2,0,0", "3,0,0"), (), "cannot normalize an all-zero column"),
+        (
+            ("5,1e-200,3e-200", "2,3e-200,1e-200", "3,2e-200,4e-200"),
+            ("--basis", "raw"),
+            "cannot weight a varied column whose variance underflows",
+        ),
+    ],
+)
+def test_error_names_the_first_offending_criterion(capsys, tmp_path, cells, options, message):
+    rows = [f"{label},{c}" for label, c in zip("abc", cells)]
+    path = tmp_path / "m.csv"
+    path.write_text(",c1,c2,c3\ndirection,benefit,cost,cost\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, "weights", "--input", str(path), *options)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}: criterion 'c2'\n"
 
 
 def test_sensitivity_grid_too_fine_is_one_line_error(capsys, tmp_path):
@@ -177,6 +200,18 @@ def test_aggregate_stddev_insufficient(capsys, tmp_path):
                            "--statistic", "stddev")
     assert code == 1
     assert err.startswith("error: ")
+
+
+def test_aggregate_rating_out_of_range_is_one_line_error(capsys, tmp_path):
+    survey = tmp_path / "survey.csv"
+    survey.write_text("group,item,rating\ng1,q1,4\ng2,q1,6\ng2,q2,0\n")
+    code, out, err = run_cli(capsys, "aggregate", "--input", str(survey))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: rating outside the configured Likert range: "
+        "group 'g2', item 'q1', rating 6.0, range 1.0 to 5.0\n"
+    )
 
 
 def test_repro_table(capsys):

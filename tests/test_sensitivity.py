@@ -493,14 +493,14 @@ class TestChunkedGrid:
         matrix = random_matrix(rng, m=6, n=4)
         whole = rank_stability(matrix, equal_weights(4))
         sizes = []
-        real = mcdm.sensitivity._batch_topsis
+        real = mcdm.sensitivity._grid_ranks
 
         def recording(unit, rows, benefit):
             sizes.append(rows.shape[0] * unit.size)
             return real(unit, rows, benefit)
 
         monkeypatch.setattr(mcdm.sensitivity, "_CHUNK_ELEMENTS", 100)
-        monkeypatch.setattr(mcdm.sensitivity, "_batch_topsis", recording)
+        monkeypatch.setattr(mcdm.sensitivity, "_grid_ranks", recording)
         assert rank_stability(matrix, equal_weights(4)) == whole
         assert len(sizes) > matrix.n and max(sizes) <= 100
 

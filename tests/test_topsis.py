@@ -2,14 +2,19 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcdm.errors import DegenerateAlternative, DimensionMismatch, InvalidValue, ZeroColumn
 from mcdm.model import Criterion, Direction, WeightVector, new_matrix
+import mcdm.topsis
 from mcdm.topsis import (
     IdealPoints,
+    _batch_topsis,
+    _grid_closeness,
+    _grid_ranks,
     _ranks,
+    _unit_columns,
     apply_weights,
     closeness,
     ideal_points,
@@ -423,3 +428,132 @@ def test_scale_invariance(rng):
             for a, b in zip(result.rows, base.rows):
                 assert a.closeness == pytest.approx(b.closeness, abs=1e-12)
                 assert a.rank == b.rank
+
+
+SCREEN_KINDS = ("random", "scaled", "tie-prone", "near-duplicate", "clustered", "tiny-weight")
+
+
+@st.composite
+def screen_case(draw):
+    """Unit columns, weight rows and directions for _grid_ranks.
+
+    Columns are random, scaled by 1e-150 to 1e150, tie-prone integers 0-3,
+    random with one row a duplicate of another but one ulp away, or clustered
+    like Likert means (3 to 3.5, so separations are small and rounding shows);
+    weight rows hold zeros, and 1e-200 entries in the tiny-weight kind.
+    """
+    kind = draw(st.sampled_from(SCREEN_KINDS))
+    m, n, k = draw(st.integers(2, 9)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0, 10, (m, n))
+    if kind == "scaled":
+        x *= 10.0 ** rng.integers(-150, 151, n)
+    elif kind == "tie-prone":
+        x = rng.integers(0, 4, (m, n)).astype(float)
+    elif kind == "near-duplicate":
+        j = rng.integers(n)
+        x[0] = x[m - 1]
+        x[0, j] = np.nextafter(x[0, j], np.inf)
+    elif kind == "clustered":
+        x = rng.uniform(3, 3.5, (m, n))
+    criteria = [Criterion(f"c{j}", B) for j in range(n)]
+    try:
+        unit = _unit_columns(x, criteria)
+    except (InvalidValue, ZeroColumn):
+        assume(False)
+    w = rng.uniform(0, 1, (k, n)) * (rng.uniform(0, 1, (k, n)) < 0.8)
+    if kind == "tiny-weight":
+        w[rng.uniform(0, 1, (k, n)) < 0.5] = 1e-200
+    assume(w.sum(axis=1).all())
+    return unit, w / w.sum(axis=1, keepdims=True), rng.uniform(0, 1, n) < 0.5
+
+
+def _kernel_ranks(unit, w, benefit):
+    return _batch_topsis(unit, w, benefit)[3]
+
+
+def _outcome(ranks, *case):
+    """The ranks, or DegenerateAlternative where ranking raises it."""
+    try:
+        return ranks(*case)
+    except DegenerateAlternative:
+        return DegenerateAlternative
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(screen_case())
+def test_grid_closeness_is_within_its_bound_of_the_kernel(case):
+    unit, w, benefit = case
+    c, eps = _grid_closeness(unit, w, benefit)
+    for i in range(len(w)):
+        try:
+            kernel = _batch_topsis(unit, w[i : i + 1], benefit)[2][0]
+        except DegenerateAlternative:
+            assert np.isinf(eps[i]).any()
+            continue
+        assert (np.abs(c[i] - kernel) <= eps[i]).all()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(screen_case())
+def test_grid_ranks_equal_the_kernel(case):
+    got, want = _outcome(_grid_ranks, *case), _outcome(_kernel_ranks, *case)
+    if want is DegenerateAlternative:
+        assert got is want
+    else:
+        assert np.array_equal(got, want)
+
+
+def _rows_reaching_kernel(monkeypatch, unit, w, benefit):
+    reached = []
+    real = mcdm.topsis._batch_topsis
+
+    def recording(unit, rows, benefit):
+        reached.extend(map(tuple, rows.tolist()))
+        return real(unit, rows, benefit)
+
+    monkeypatch.setattr(mcdm.topsis, "_batch_topsis", recording)
+    return _grid_ranks(unit, w, benefit), reached
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(screen_case(), st.data())
+def test_near_ties_and_only_near_ties_reach_the_kernel(case, data):
+    unit, w, benefit = case
+    assume(_outcome(_kernel_ranks, *case) is not DegenerateAlternative)
+    with pytest.MonkeyPatch.context() as patch:
+        _, reached = _rows_reaching_kernel(patch, unit, w, benefit)
+    c = _batch_topsis(unit, w, benefit)[2]
+    eps = _grid_closeness(unit, w, benefit)[1]
+    # A kernel gap above 4 eps leaves a product gap above 2 eps.
+    clear = (np.diff(np.sort(c, axis=1), axis=1) > 4 * eps.max(axis=1, keepdims=True)).all(axis=1)
+    assert not set(map(tuple, w[clear].tolist())) & set(reached)
+    # With one alternative repeated, every row has a tie.
+    repeated = np.insert(unit, data.draw(st.integers(0, len(unit))), unit[0], axis=0)
+    with pytest.MonkeyPatch.context() as patch:
+        ranks, reached = _rows_reaching_kernel(patch, repeated, w, benefit)
+    assert sorted(reached) == sorted(map(tuple, w.tolist()))
+    assert np.array_equal(ranks, _batch_topsis(repeated, w, benefit)[3])
+
+
+def test_grid_ranks_send_only_the_tied_row_to_the_kernel(monkeypatch):
+    unit = _unit_columns(np.array([[1.0, 9.0], [4.0, 4.0], [9.0, 1.0]]), [Criterion("c", B)] * 2)
+    w = np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
+    benefit = np.array([True, True])
+    ranks, reached = _rows_reaching_kernel(monkeypatch, unit, w, benefit)
+    assert reached == [(0.5, 0.5)]  # equal weights tie the mirror images "a" and "c"
+    assert np.array_equal(ranks, _batch_topsis(unit, w, benefit)[3])
+
+
+@pytest.mark.parametrize("rows", [[[0.0, 1.0]], [[0.5, 0.5], [0.0, 1.0]]])
+def test_grid_ranks_raise_at_a_degenerate_grid_point(rows):
+    # c2 is constant, so all weight on it leaves every alternative undefined.
+    unit = _unit_columns(np.array([[1.0, 2.0], [3.0, 2.0]]), [Criterion("c", B)] * 2)
+    with pytest.raises(DegenerateAlternative):
+        _grid_ranks(unit, np.array(rows), np.array([True, False]))
+
+
+def test_grid_ranks_of_a_single_alternative_raise_like_the_kernel():
+    unit = np.ones((1, 2))
+    with pytest.raises(DegenerateAlternative):
+        _grid_ranks(unit, np.array([[0.5, 0.5]]), np.array([True, True]))
