@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import repro
-from .errors import McdmError
+from .errors import DimensionMismatch, McdmError
 from .ingest import Statistic, aggregate_survey, parse_matrix_csv, parse_survey_csv, serialize_matrix_csv
 from .model import DecisionMatrix, WeightVector
 from .reporting import (
@@ -36,7 +36,10 @@ def _read_input(path: str | None) -> str:
     p = Path(path)
     if not p.is_file():
         raise CliError(f"input file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"input file is not UTF-8: {path} (byte {exc.start})") from None
 
 
 def _resolve_weights(spec: str, matrix: DecisionMatrix, basis: Basis) -> WeightVector:
@@ -70,6 +73,8 @@ def _cmd_rank(args) -> str:
 def _cmd_weights(args) -> str:
     matrix = parse_matrix_csv(_read_input(args.input))
     weights = _resolve_weights(args.weights, matrix, Basis(args.basis))
+    if len(weights) != matrix.n:
+        raise DimensionMismatch("weight count does not match criterion count")
     if args.format == "json":
         return export_json(
             {

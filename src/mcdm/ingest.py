@@ -8,7 +8,8 @@ Matrix CSV grammar (UTF-8 with or without a BOM, LF or CRLF, no quoting):
 Survey CSV: ``group,item,rating`` header, one response per line.
 
 Errors in a data row name its 1-based line, and a bad matrix cell also its
-1-based column (the alternative label is column 1).
+1-based column (the alternative label is column 1). A repeated alternative or
+criterion names its own line or column and that of its first use.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import (
+    DuplicateLabel,
     EmptyInput,
     InsufficientData,
     InvalidValue,
@@ -62,6 +64,15 @@ def _parse_value(token: str, where: str = "") -> float:
     return v
 
 
+def _first_repeat(labels: Sequence[str], start: int) -> tuple[str, int, int] | None:
+    """The first label used before, its place and its first use's, counting from start."""
+    first: dict[str, int] = {}
+    for place, label in enumerate(labels, start=start):
+        if first.setdefault(label, place) != place:
+            return label, place, first[label]
+    return None
+
+
 def parse_matrix_csv(text: str) -> DecisionMatrix:
     """Parse a decision matrix from the documented CSV grammar."""
     lines = _lines(text)
@@ -103,7 +114,22 @@ def parse_matrix_csv(text: str) -> DecisionMatrix:
             raise
 
     criteria = [Criterion(n, d) for n, d in zip(names, directions)]
-    return new_matrix(alternatives, criteria, values)
+    try:
+        return new_matrix(alternatives, criteria, values)
+    except DuplicateLabel:
+        # Only on failure: find the first repeat (alternatives before criteria,
+        # as new_matrix checks them) to name both of its places.
+        if repeat := _first_repeat(alternatives, start=3):
+            label, line, first = repeat
+            raise DuplicateLabel(
+                f"line {line}: alternative labels must be unique: "
+                f"{label!r} is also on line {first}"
+            ) from None
+        name, column, first = _first_repeat(names, start=2)
+        raise DuplicateLabel(
+            f"line 1, column {column}: criterion names must be unique: "
+            f"{name!r} is also in column {first}"
+        ) from None
 
 
 def serialize_matrix_csv(matrix: DecisionMatrix) -> str:

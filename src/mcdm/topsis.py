@@ -1,12 +1,11 @@
 """TOPSIS ranking engine: normalize, weight, ideal points, separations, rank.
 
 Vector normalization is the only normalization offered; separations use the
-Euclidean metric. Ranks break ties by input index: rows of distinct closeness
-values are ranked by numpy's default (unstable, SIMD) sort, which has only one
-order to find, and rows with a tie are sorted again with a stable sort.
-Sensitivity grids need only ranks: ``_grid_ranks`` takes them from two matrix
-products wherever a proven error bound shows they are the kernel's, and runs
-the kernel on the remaining, near-tied rows.
+Euclidean metric. Ranks come from one stable sort of each closeness row, so
+ties go to the earlier index. Sensitivity grids need only ranks:
+``_grid_ranks`` takes them from two matrix products wherever a proven error
+bound shows they are the kernel's, ranking those rows from the one sort its
+screen already makes, and runs the kernel on the remaining, near-tied rows.
 """
 from __future__ import annotations
 
@@ -101,24 +100,16 @@ def _closeness(s_plus: np.ndarray, s_minus: np.ndarray) -> tuple[np.ndarray, np.
     return s_minus / np.where(undefined, 1.0, total), undefined
 
 
-def _ranks(c: np.ndarray) -> np.ndarray:
-    """Ranks within each row of c; rank 1 = largest, ties go to the earlier index.
-
-    A row whose keys are all distinct has one sorted order, so numpy's default
-    (fastest, unstable) sort ranks it. A row whose sorted keys do not strictly
-    increase holds a repeated value, both signed zeros or a NaN; only such rows
-    are sorted again, stably, which puts ties in index order.
-    """
-    keys = -c
-    order = np.argsort(keys, axis=1)
-    row = np.arange(len(c))[:, None]
-    ordered = keys[row, order]
-    tied = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+def _ranks_from(order: np.ndarray) -> np.ndarray:
+    """Ranks 1..m from each row of ``order``, the row's indices best first."""
     ranks = np.empty_like(order)
-    ranks[row, order] = np.arange(1, c.shape[1] + 1)
+    ranks[np.arange(len(order))[:, None], order] = np.arange(1, order.shape[1] + 1)
     return ranks
+
+
+def _ranks(c: np.ndarray) -> np.ndarray:
+    """Ranks within each row of c; rank 1 = largest, ties go to the earlier index."""
+    return _ranks_from(np.argsort(-c, axis=1, kind="stable"))
 
 
 def _batch_topsis(
@@ -184,14 +175,18 @@ def _grid_ranks(unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray) -> n
     A filter with an exact fallback, as in Shewchuk's adaptive predicates: a
     row whose product closeness values (``_grid_closeness``) are all more than
     twice the row's largest eps apart has the kernel's strict order, so it is
-    ranked from them. Every other row, including any whose closeness the
-    kernel leaves undefined, is ranked by the kernel, which raises as usual.
+    ranked from them. Its keys are all distinct, so numpy's default (unstable)
+    sort, which the screen reads its gaps from, gives that order. Every other
+    row, including any whose closeness the kernel leaves undefined, is ranked
+    by the kernel, which raises as usual.
     """
     c, eps = _grid_closeness(unit, weights, benefit)
     bound = 2 * eps.max(axis=1, keepdims=True)
-    ordered = np.sort(c, axis=1)
+    keys = -c
+    order = np.argsort(keys, axis=1)
+    ordered = np.take_along_axis(keys, order, axis=1)
     sure = (ordered[:, 1:] - ordered[:, :-1] > bound).all(axis=1) & np.isfinite(bound[:, 0])
-    ranks = _ranks(c)
+    ranks = _ranks_from(order)
     if not sure.all():
         ranks[~sure] = _batch_topsis(unit, weights[~sure], benefit)[3]
     return ranks

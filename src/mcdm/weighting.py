@@ -178,15 +178,12 @@ def ahp_weights(pairwise: PairwiseMatrix) -> AhpOutcome:
         if change >= _CONVERGENCE_FLOOR:
             raise NonConvergence("power iteration failed to converge")
     eigenvalue = float(np.mean((a @ w) / w))
-    if n <= 2:
-        ci = 0.0
+    if n < 3:
+        ci = cr = 0.0
+    elif n > len(RANDOM_INDEX):
+        raise InvalidArity("no random consistency index beyond n = 10")
     else:
         ci = (eigenvalue - n) / (n - 1)
-    if n < 3:
-        cr = 0.0
-    else:
-        if n > len(RANDOM_INDEX):
-            raise InvalidArity("no random consistency index beyond n = 10")
         cr = ci / RANDOM_INDEX[n - 1]
     return AhpOutcome(
         weights=WeightVector(weights=tuple(w.tolist()), method="ahp"),

@@ -44,6 +44,61 @@ def test_rank_manual_all_zero(capsys):
     assert err == "error: all weights zero\n"
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "weights", ["manual:1,2", ",".join(["manual:1"] + ["1"] * 11)], ids=["too-few", "too-many"]
+)
+def test_weights_count_must_match_criteria(capsys, weights, fmt):
+    # The bundled fixture has 11 criteria.
+    code, out, err = run_cli(
+        capsys, "weights", "--input", str(fixture_csv_path()), "--weights", weights,
+        "--format", fmt,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: weight count does not match criterion count\n"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("rank", b",c1,c2\ndirection,benefit,cost\na,1,2\nb,\xff,3\n"),
+        ("aggregate", b"group,item,rating\ng1,q1,4\ng1,q\xff,5\n"),
+    ],
+    ids=["rank", "aggregate"],
+)
+def test_non_utf8_input_is_one_line_error(capsys, tmp_path, command, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text)
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: input file is not UTF-8: {path} (byte {text.index(0xFF)})\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            ",c1,c2\ndirection,benefit,cost\na,1,2\nb,2,3\na,3,4\n",
+            "line 5: alternative labels must be unique: 'a' is also on line 3",
+        ),
+        (
+            ",c1,c2,c1\ndirection,benefit,cost,cost\na,1,2,3\nb,2,3,4\n",
+            "line 1, column 4: criterion names must be unique: 'c1' is also in column 2",
+        ),
+    ],
+    ids=["alternative", "criterion"],
+)
+def test_duplicate_label_error_names_both_places(capsys, tmp_path, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "rank", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "cells, message",
     [

@@ -220,6 +220,25 @@ class TestAhpWeights:
         assert out.principal_eigenvalue > 3
         assert out.consistency_ratio > 0
 
+    def test_single_criterion(self):
+        out = ahp_weights(consistent_pairwise([1.0]))
+        assert out.weights.weights == (1.0,)
+        assert out.principal_eigenvalue == 1.0
+        assert out.consistency_index == 0.0
+        assert out.consistency_ratio == 0.0
+
+    def test_ten_criteria_have_a_random_index(self):
+        w = [float(i) for i in range(1, 11)]
+        out = ahp_weights(consistent_pairwise(w))
+        for got, want in zip(out.weights.weights, w):
+            assert got == pytest.approx(want / sum(w), abs=1e-9)
+        assert out.consistency_index == pytest.approx(0.0, abs=1e-9)
+        assert out.consistency_ratio == out.consistency_index / 1.49
+
+    def test_eleven_criteria_have_no_random_index(self):
+        with pytest.raises(InvalidArity, match="^no random consistency index beyond n = 10$"):
+            ahp_weights(consistent_pairwise([1.0] * 11))
+
     def test_reciprocity_enforced(self):
         with pytest.raises(InvalidValue):
             PairwiseMatrix(labels=("a", "b"), comparisons=((1.0, 2.0), (0.6, 1.0)))
