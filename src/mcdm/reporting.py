@@ -68,7 +68,8 @@ def _sensitivity_to_obj(report: SensitivityReport) -> dict[str, Any]:
                 "criterion": s.criterion,
                 "flip_threshold": s.flip_threshold,
                 "grid": [
-                    {"delta": g.delta, "ranks": list(g.ranks)} for g in s.grid
+                    {"delta": d, "ranks": r}
+                    for d, r in zip(s.deltas.tolist(), s.ranks.tolist())
                 ],
             }
             for s in report.criteria

@@ -13,12 +13,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    DegenerateAlternative,
     DegenerateBase,
     OutOfRange,
     TooFewAlternatives,
 )
 from .model import WEIGHT_SUM_TOL, DecisionMatrix, WeightVector, new_matrix
 from .topsis import (
+    _CHUNK_ELEMENTS,
+    _U,
+    _batch_topsis,
     _benefit_mask,
     _closeness,
     _grid_ranks,
@@ -34,10 +38,6 @@ DEFAULT_MAX_DELTA = 0.25
 _FEASIBILITY_EPS = 1e-9
 # The most grid steps on each side of a weight: round(max_delta / step).
 _MAX_GRID_STEPS = 10_000
-# Bounds the largest array of one stacked kernel call: the (k, m, n)
-# temporaries of k grid rows, or of one leave-one-out pass over k removals,
-# whose (k, m-1, m-1) pair masks it also bounds.
-_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,48 @@ class GridPoint:
     ranks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriterionSweep:
+    """One criterion's grid: row i of ``ranks`` holds every alternative's rank
+    at weight shift ``deltas[i]``.
+
+    ``deltas`` (k,) and ``ranks`` (k, m) are read-only float64 and intp
+    arrays; an array given writeable is copied first.
+    """
+
     criterion: str
     flip_threshold: float | None  # None = no flip within the grid
-    grid: tuple[GridPoint, ...]
+    deltas: np.ndarray
+    ranks: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("deltas", np.float64), ("ranks", np.intp)):
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            if array.flags.writeable:
+                array = array.copy()
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other):
+        if not isinstance(other, CriterionSweep):
+            return NotImplemented
+        return (
+            self.criterion == other.criterion
+            and self.flip_threshold == other.flip_threshold
+            and np.array_equal(self.deltas, other.deltas)
+            and np.array_equal(self.ranks, other.ranks)
+        )
+
+    def __hash__(self):
+        return hash((self.criterion, self.flip_threshold))
+
+    @property
+    def grid(self) -> tuple[GridPoint, ...]:
+        """The grid as GridPoints of Python floats and ints."""
+        return tuple(
+            GridPoint(delta=d, ranks=tuple(r))
+            for d, r in zip(self.deltas.tolist(), self.ranks.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -112,18 +149,24 @@ def perturb_weights(weights: WeightVector, j: int, delta: float) -> WeightVector
     return WeightVector(weights=tuple(rows[0].tolist()), method=weights.method)
 
 
-def _check_weight_rows(rows: np.ndarray, method: str) -> None:
-    """Raise what WeightVector raises for the first of the (k, n) rows it rejects.
+def _rejected_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the (k, n) rows that WeightVector rejects, by its two rules.
 
-    The rows are screened by WeightVector's two rules, the row sum taken with
-    the same ``sum``; only screened-out rows build a WeightVector.
+    Its sum rule takes Python's ``sum``, which can differ from numpy's in the
+    last bits. On finite, nonnegative rows both lie within gamma_(n-1) of the
+    exact total (Higham, ch. 4, for any order; compensated sums do better),
+    so they differ by less than 4 n u (s + 1), with s numpy's sum. Only a row
+    whose numpy sum is that close to the edge of the tolerance is summed
+    again by ``sum`` itself.
     """
     rejected = ~(np.isfinite(rows) & (rows >= 0)).all(axis=1)
-    rejected |= np.array(
-        [abs(sum(row) - 1.0) > WEIGHT_SUM_TOL for row in rows.tolist()], dtype=bool
-    )
-    for row in rows[rejected].tolist():
-        WeightVector(weights=tuple(row), method=method)
+    sums = rows.sum(axis=1)
+    miss = np.abs(sums - 1.0)
+    margin = (4 * rows.shape[1] * _U) * (sums + 1.0)
+    rejected |= miss > WEIGHT_SUM_TOL + margin
+    for i in np.flatnonzero(~rejected & (miss >= WEIGHT_SUM_TOL - margin)).tolist():
+        rejected[i] = abs(sum(rows[i].tolist()) - 1.0) > WEIGHT_SUM_TOL
+    return rejected
 
 
 def rank_stability(
@@ -136,6 +179,9 @@ def rank_stability(
 
     Infeasible deltas (weight pinned at 0/1, or leaving the simplex) are
     skipped; every evaluated grid point records the full rank permutation.
+    Every criterion's grid is ranked in one pass. Errors come in criterion
+    order: a grid row that is not a valid WeightVector raises its error once
+    the criteria before it are ranked, which may raise first.
     """
     if not 0 < step <= max_delta <= 1:
         raise OutOfRange("need 0 < step <= max_delta <= 1")
@@ -143,52 +189,57 @@ def rank_stability(
     if not math.isfinite(ratio) or round(ratio) > _MAX_GRID_STEPS:
         raise OutOfRange(f"grid too fine: max_delta / step exceeds {_MAX_GRID_STEPS}")
     steps = round(ratio)
-    baseline = topsis_rank(matrix, weights)
-    base_top = baseline.ranks().index(1)
+    if matrix.m < 2:
+        raise DegenerateAlternative("TOPSIS needs at least two alternatives")
+    unit = _unit_columns(matrix.values, matrix.criteria)
+    benefit = _benefit_mask(matrix.directions)
+    w = weights.to_array()
+    baseline = _batch_topsis(unit, w[None, :], benefit)[3][0]
+    base_top = int(np.argmin(baseline))
 
     # Smallest magnitude first, + before -.
     magnitudes = np.arange(1, steps + 1) * step
     deltas = np.stack([magnitudes, -magnitudes], 1).ravel()
 
-    unit = _unit_columns(matrix.values, matrix.criteria)
-    benefit = _benefit_mask(matrix.directions)
-    w = weights.to_array()
-    chunk = max(1, _CHUNK_ELEMENTS // (matrix.m * matrix.n))
-    sweeps = []
-    preserved = 0
-    total = 0
-    for j, criterion in enumerate(matrix.criteria):
+    row_blocks, delta_blocks = [], []
+    for j in range(matrix.n):
         rows, out_of_range, pinned = _perturbed(w, j, deltas)
         feasible = ~(out_of_range | pinned)
-        rows, row_deltas = rows[feasible], deltas[feasible]
-        _check_weight_rows(rows, weights.method)
-        ranks = np.empty((len(rows), matrix.m), dtype=np.intp)
-        for start in range(0, len(rows), chunk):
-            ranks[start : start + chunk] = _grid_ranks(
-                unit, rows[start : start + chunk], benefit
-            )
-        # Each rank row is a permutation, so rank 1 at base_top keeps the top.
-        keeps_top = ranks[:, base_top] == 1
-        flips = np.abs(row_deltas[~keeps_top])
-        preserved += int(keeps_top.sum())
-        total += len(rows)
-        grid = tuple(
-            GridPoint(delta=d, ranks=tuple(r))
-            for d, r in zip(row_deltas.tolist(), ranks.tolist())
-        )
+        row_blocks.append(rows[feasible])
+        delta_blocks.append(deltas[feasible])
+    rows, row_deltas = np.concatenate(row_blocks), np.concatenate(delta_blocks)
+    row_deltas.flags.writeable = False
+    sizes = [len(block) for block in row_blocks]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+
+    rejected = _rejected_rows(rows)
+    ranked = len(rows)
+    if rejected.any():
+        ranked = starts[np.searchsorted(ends, np.argmax(rejected), side="right")]
+    ranks = _grid_ranks(unit, rows[:ranked], benefit)
+    for row in rows[rejected].tolist():
+        WeightVector(weights=tuple(row), method=weights.method)
+    ranks.flags.writeable = False
+
+    # Each rank row is a permutation, so rank 1 at base_top keeps the top.
+    keeps_top = ranks[:, base_top] == 1
+    sweeps = []
+    for criterion, start, end in zip(matrix.criteria, starts.tolist(), ends.tolist()):
+        flips = np.abs(row_deltas[start:end][~keeps_top[start:end]])
         sweeps.append(
             CriterionSweep(
                 criterion=criterion.name,
                 flip_threshold=float(flips.min()) if len(flips) else None,
-                grid=grid,
+                deltas=row_deltas[start:end],
+                ranks=ranks[start:end],
             )
         )
 
-    score = preserved / total if total else 1.0
     return SensitivityReport(
         criteria=tuple(sweeps),
-        baseline_ranks=tuple(baseline.ranks()),
-        stability_score=score,
+        baseline_ranks=tuple(baseline.tolist()),
+        stability_score=int(keeps_top.sum()) / len(rows) if len(rows) else 1.0,
         step=step,
         max_delta=max_delta,
     )

@@ -3,9 +3,10 @@
 Vector normalization is the only normalization offered; separations use the
 Euclidean metric. Ranks come from one stable sort of each closeness row, so
 ties go to the earlier index. Sensitivity grids need only ranks:
-``_grid_ranks`` takes them from two matrix products wherever a proven error
-bound shows they are the kernel's, ranking those rows from the one sort its
-screen already makes, and runs the kernel on the remaining, near-tied rows.
+``_grid_ranks`` takes them from one matrix product per chunk of weight rows
+wherever a proven error bound shows they are the kernel's, ranking those rows
+from the one sort its screen already makes, and runs the kernel on the
+remaining, near-tied rows.
 """
 from __future__ import annotations
 
@@ -129,44 +130,89 @@ def _batch_topsis(
 
 # Unit roundoff of float64.
 _U = 2.0**-53
+# Bounds the largest array of one stacked kernel call: the (k, m, n)
+# temporaries of k weight rows, or of a leave-one-out pass over k removals,
+# whose (k, m-1, m-1) pair masks it also bounds.
+_CHUNK_ELEMENTS = 1 << 18
+# _grid_ranks screens weight rows in chunks of at most this many (k, m)
+# outputs, so a chunk's product, sort and bound arrays stay in cache.
+_GRID_CHUNK_ELEMENTS = 1 << 13
 
 
-def _grid_closeness(
-    unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closeness of (k, n) weight rows over (m, n) unit columns by matrix products,
-    and a bound eps on its distance from the kernel's closeness, each (k, m).
+def _grid_terms(unit: np.ndarray, benefit: np.ndarray) -> np.ndarray:
+    """The weight-independent right-hand side of ``_grid_closeness``'s product.
+
+    A C-contiguous (n, 4m) array of four (n, m) blocks: per criterion j and
+    alternative i, d^2 for the ideal, then for the anti-ideal, and
+    16 u |d| (u_ij + a_j) + 6 (n + 4) u d^2 + 64 u^2 for each, with
+    d = u_ij - a_j and a_j the unit column's ideal or anti-ideal value.
+    """
+    n = unit.shape[1]
+    ideal, anti = _ideal(unit.max(axis=0), unit.min(axis=0), benefit)
+    columns = unit.T
+    points = np.stack([ideal, anti])[:, :, None]
+    diff = columns - points
+    square = diff * diff
+    error = (16 * _U) * np.abs(diff) * (columns + points) + (6 * (n + 4) * _U) * square
+    error += 64 * _U * _U
+    terms = np.concatenate([square, error])
+    return np.ascontiguousarray(terms.transpose(1, 0, 2)).reshape(n, -1)
+
+
+def _grid_closeness(terms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closeness of (k, n) weight rows, each summing to 1, by one matrix
+    product with the unit columns' ``_grid_terms``, and a bound eps on its
+    distance from the kernel's closeness, each (k, m).
 
     Unit entries lie in [0, 1] and weights are nonnegative, so the kernel's
     squared separations are, in exact arithmetic,
-    S^2 = sum_j w_j^2 (u_ij - a_j)^2, with a_j the unit column's max or min:
-    two products of squared weights with squared unit differences.
+    S^2 = sum_j t_j, t_j = w_j^2 (u_ij - a_j)^2, with a_j the unit column's
+    max or min: products of squared weights with squared unit differences.
 
-    Error bound, with u = 2^-53 and the gamma_n analysis of summation (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 3-4): each term is at
-    most w_j^2, so the kernel and the product each lie within (n + 8) u sum w^2
-    of the exact S^2, whatever the summation order or use of FMA. Their
-    difference is at most half of eta = 4 (n + 8) u sum w^2 + 1e-290, whose
-    floor covers underflow. As |sqrt(a) - sqrt(b)| is at most sqrt(|a - b|)
-    and at most |a - b| / sqrt(a), each separation then differs by at most
-    delta = min(sqrt(eta), eta / S); the other half of eta covers the rounding
-    of both square roots, at most u S each, as S <= sqrt(sum w^2). Moving S+
-    and S- by at most delta+ and delta- moves s- / (s+ + s-) by at most
-    (delta+ + 2 delta-) / (T - delta+ - delta-), with T = S+ + S-; 4u adds the
-    rounding of both closeness divisions. eps is infinite where
-    T <= delta+ + delta-, where the kernel's closeness may be undefined.
+    Error bound, with u = 2^-53, gamma_k = k u / (1 - k u), (n + 4) u <= 0.01
+    and the summation analysis of Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3-4, which holds for any summation order or use
+    of FMA. The product rounds u - a, its square, w^2 and each product once,
+    then sums: it lies within gamma_(n+4) S^2 of S^2. The kernel rounds
+    x = u w and y = a w, so with D = w |u - a| and P = w (u + a) >= D its
+    rounded x - y is within e = 2 u P (1 + u) of w (u - a), and the rounded
+    square of that within 2 D e + e^2 + u (D + e)^2 <= 6 u D P + 5 u^2 P^2 of
+    t_j; its sum adds gamma_(n-1) S^2. As P^2 <= 4 w^2, the two computed
+    values of S^2 differ by at most half of the per-entry
+        eta = sum_j w_j^2 (16 u |u_ij - a_j| (u_ij + a_j) + 6 (n + 4) u (u_ij - a_j)^2
+                           + 64 u^2),
+    taken from the same product; the factor 2 also covers the rounding of
+    eta. The last term also covers underflow: the largest weight is at least
+    1 / n, so it adds at least 64 u^2 / n^2, far above n times the 2^-1074
+    that each underflowing operation may lose. Each term's share is small
+    where the alternative is close to the ideal, however large the column's
+    values.
+    As |sqrt(a) - sqrt(b)| is at most sqrt(|a - b|) and at most
+    |a - b| / sqrt(a), each separation then differs by at most
+    delta = min(sqrt(eta), eta / S); the slack of eta's second term over
+    gamma_(n-1) + gamma_(n+4) covers the rounding of both square roots, at
+    most u S each. Moving S+ and S- by at most delta+ and delta- moves
+    s- / (s+ + s-) by at most (delta+ + 2 delta-) / (T - delta+ - delta-),
+    with T = S+ + S-; 4u adds the rounding of both closeness divisions. eps
+    is infinite, and the closeness 0, where T <= delta+ + delta-, where the
+    kernel's closeness may be undefined.
     """
-    squared = weights * weights
-    ideal, anti = _ideal(unit.max(axis=0), unit.min(axis=0), benefit)
-    s_plus = np.sqrt(squared @ np.square(unit - ideal).T)
-    s_minus = np.sqrt(squared @ np.square(unit - anti).T)
-    eta = (4 * (unit.shape[1] + 8) * _U) * squared.sum(axis=1, keepdims=True) + 1e-290
-    root = np.sqrt(eta)
-    d_plus = eta / np.maximum(s_plus, root)
-    d_minus = eta / np.maximum(s_minus, root)
-    room = s_plus + s_minus - d_plus - d_minus
-    eps = np.divide(d_plus + 2 * d_minus, room, out=np.full_like(room, np.inf), where=room > 0)
-    return _closeness(s_plus, s_minus)[0], eps + 4 * _U
+    m = terms.shape[1] // 4
+    product = (weights * weights) @ terms
+    # In place: a chunk's (k, 2m) temporaries are the largest arrays of a sweep.
+    s = np.sqrt(product[:, : 2 * m], out=product[:, : 2 * m])
+    eta = product[:, 2 * m :]
+    delta = np.sqrt(eta)
+    np.divide(eta, np.maximum(s, delta, out=delta), out=delta)
+    s_plus, s_minus = s[:, :m], s[:, m:]
+    d_plus, d_minus = delta[:, :m], delta[:, m:]
+    total = s_plus + s_minus
+    spread = d_plus + d_minus
+    room = total - spread
+    bounded = room > 0  # and so total > 0: the closeness is defined
+    eps = np.divide(spread + d_minus, room, out=np.full_like(room, np.inf), where=bounded)
+    eps += 4 * _U
+    return np.divide(s_minus, total, out=np.zeros_like(total), where=bounded), eps
 
 
 def _grid_ranks(unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray) -> np.ndarray:
@@ -178,17 +224,29 @@ def _grid_ranks(unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray) -> n
     ranked from them. Its keys are all distinct, so numpy's default (unstable)
     sort, which the screen reads its gaps from, gives that order. Every other
     row, including any whose closeness the kernel leaves undefined, is ranked
-    by the kernel, which raises as usual.
+    by the kernel, which raises as usual. The weight-independent terms are
+    computed once; rows are screened in chunks of ``_GRID_CHUNK_ELEMENTS``
+    outputs and go to the kernel in chunks of ``_CHUNK_ELEMENTS`` elements.
     """
-    c, eps = _grid_closeness(unit, weights, benefit)
-    bound = 2 * eps.max(axis=1, keepdims=True)
-    keys = -c
-    order = np.argsort(keys, axis=1)
-    ordered = np.take_along_axis(keys, order, axis=1)
-    sure = (ordered[:, 1:] - ordered[:, :-1] > bound).all(axis=1) & np.isfinite(bound[:, 0])
-    ranks = _ranks_from(order)
-    if not sure.all():
-        ranks[~sure] = _batch_topsis(unit, weights[~sure], benefit)[3]
+    terms = _grid_terms(unit, benefit)
+    ranks = np.empty((len(weights), len(unit)), dtype=np.intp)
+    chunk = max(1, _GRID_CHUNK_ELEMENTS // len(unit))
+    step = max(1, _CHUNK_ELEMENTS // unit.size)
+    for start in range(0, len(weights), chunk):
+        rows = weights[start : start + chunk]
+        c, eps = _grid_closeness(terms, rows)
+        bound = 2 * eps.max(axis=1, keepdims=True)
+        keys = -c
+        order = np.argsort(keys, axis=1)
+        ordered = np.take_along_axis(keys, order, axis=1)
+        gaps = ordered[:, 1:] - ordered[:, :-1] > bound
+        sure = gaps.all(axis=1) & np.isfinite(bound[:, 0])
+        out = ranks[start : start + chunk]
+        out[:] = _ranks_from(order)
+        unsure = np.flatnonzero(~sure)
+        for i in range(0, len(unsure), step):
+            near = unsure[i : i + step]
+            out[near] = _batch_topsis(unit, rows[near], benefit)[3]
     return ranks
 
 

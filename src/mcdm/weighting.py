@@ -91,9 +91,12 @@ def manual_weights(values: Sequence[float]) -> WeightVector:
     if any(v < 0 for v in values):
         raise NegativeWeight("manual weights must be nonnegative")
     total = sum(values)
+    if not math.isfinite(total) and all(map(math.isfinite, values)):
+        raise InvalidValue("manual weights overflow: their sum is not finite")
     if total == 0:
         raise AllZero("all weights zero")
-    return WeightVector(weights=tuple(v / total for v in values), method="manual")
+    # Adding 0.0 turns a weight of -0.0 into 0.0.
+    return WeightVector(weights=tuple(v / total + 0.0 for v in values), method="manual")
 
 
 def std_dev_weights(

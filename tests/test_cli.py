@@ -44,6 +44,26 @@ def test_rank_manual_all_zero(capsys):
     assert err == "error: all weights zero\n"
 
 
+def test_manual_negative_zero_weight_prints_as_zero(capsys):
+    code, out, err = run_cli(
+        capsys, "weights", "--input", str(fixture_csv_path()),
+        "--weights", "manual:-0,0,0,0,0,0,0,0,0,0,1",
+    )
+    assert code == 0 and err == ""
+    assert "-0.0" not in out
+    assert out.splitlines()[1].endswith("\t0.000000")
+
+
+def test_manual_weights_overflowing_their_sum_is_one_line_error(capsys):
+    code, out, err = run_cli(
+        capsys, "weights", "--input", str(fixture_csv_path()),
+        "--weights", "manual:1e308,1e308,1,1,1,1,1,1,1,1,1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: manual weights overflow: their sum is not finite\n"
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize(
     "weights", ["manual:1,2", ",".join(["manual:1"] + ["1"] * 11)], ids=["too-few", "too-many"]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcdm.sensitivity
+import mcdm.topsis
 from mcdm.errors import (
     DegenerateAlternative,
     DegenerateBase,
@@ -14,7 +15,7 @@ from mcdm.errors import (
     TooFewAlternatives,
     ZeroColumn,
 )
-from mcdm.model import Criterion, Direction, WeightVector, new_matrix
+from mcdm.model import WEIGHT_SUM_TOL, Criterion, Direction, WeightVector, new_matrix
 from mcdm.sensitivity import (
     _FEASIBILITY_EPS,
     CriterionSweep,
@@ -23,6 +24,7 @@ from mcdm.sensitivity import (
     RemovalEffect,
     SensitivityReport,
     _perturbed,
+    _rejected_rows,
     leave_one_out,
     perturb_weights,
     rank_stability,
@@ -208,6 +210,83 @@ class TestGridRowValidation:
         with pytest.raises(InvalidValue, match=message):
             rank_stability(three_by_two(), w(0.5, 0.5))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(-64, 64), st.integers(0, 2**32 - 1))
+    def test_rejected_rows_follow_weight_vector_at_the_tolerance_edge(self, n, ulps, seed):
+        # Rows summing to within a few ulps of 1 +/- the tolerance, where numpy's
+        # sum and Python's can fall on either side of it, and rows that are not
+        # finite and nonnegative.
+        rng = np.random.default_rng(seed)
+        edge = 1.0 + WEIGHT_SUM_TOL * rng.choice([-1.0, 1.0]) + ulps * 2.0**-52
+        rows = rng.dirichlet(np.ones(n), 40) * edge
+        rows[:4, 0] = [np.nan, np.inf, -0.25, -0.0]
+        want = [
+            not all(x >= 0 and np.isfinite(x) for x in row)
+            or abs(sum(row) - 1.0) > WEIGHT_SUM_TOL
+            for row in rows.tolist()
+        ]
+        assert _rejected_rows(rows).tolist() == want
+
+    @pytest.mark.parametrize(
+        "bad, error", [(1, DegenerateAlternative), (0, InvalidValue)], ids=["later", "same"]
+    )
+    def test_errors_come_in_criterion_order(self, monkeypatch, bad, error):
+        # c1 is constant, so all weight on it is degenerate: at delta +0.1 for
+        # criterion 0 and at -0.1 for criterion 1. A bad row of criterion 1 is
+        # reported only after criterion 0 is ranked; one of criterion 0 first.
+        m = new_matrix(
+            ["a", "b"], [Criterion("c1", B), Criterion("c2", B)], [[1.0, 2.0], [1.0, 3.0]]
+        )
+
+        def injected(weights, j, deltas):
+            rows, out_of_range, pinned = _perturbed(weights, j, deltas)
+            if j == bad:
+                rows[0, 1 - j] = -0.25
+            return rows, out_of_range, pinned
+
+        monkeypatch.setattr(mcdm.sensitivity, "_perturbed", injected)
+        with pytest.raises(error):
+            rank_stability(m, w(0.9, 0.1), step=0.05, max_delta=0.1)
+
+
+class TestColumnarSweep:
+    """A CriterionSweep keeps its grid as read-only arrays; ``grid`` is derived."""
+
+    def test_arrays_are_read_only(self):
+        for sweep in rank_stability(three_by_two(), w(0.5, 0.5)).criteria:
+            assert sweep.deltas.dtype == np.float64 and sweep.ranks.dtype == np.intp
+            assert sweep.ranks.shape == (len(sweep.deltas), 3)
+            for array in (sweep.deltas, sweep.ranks):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    def test_writeable_arrays_are_copied(self):
+        deltas, ranks = np.array([0.1]), np.array([[2, 1]])
+        sweep = CriterionSweep("c", None, deltas, ranks)
+        deltas[0], ranks[0, 0] = 0.2, 1
+        assert sweep == CriterionSweep("c", None, [0.1], [[2, 1]])
+        assert deltas.flags.writeable and ranks.flags.writeable
+
+    def test_grid_is_rebuilt_from_the_arrays(self, rng):
+        report = rank_stability(random_matrix(rng, m=5, n=3), equal_weights(3))
+        for sweep in report.criteria:
+            assert sweep.grid == tuple(
+                GridPoint(float(d), tuple(int(r) for r in row))
+                for d, row in zip(sweep.deltas, sweep.ranks)
+            )
+
+    def test_equality_compares_every_field(self):
+        base = CriterionSweep("c", 0.1, [0.1, -0.1], [[1, 2], [2, 1]])
+        assert base == CriterionSweep("c", 0.1, [0.1, -0.1], [[1, 2], [2, 1]])
+        assert hash(base) == hash(CriterionSweep("c", 0.1, [0.1, -0.1], [[1, 2], [2, 1]]))
+        for other in (
+            CriterionSweep("d", 0.1, [0.1, -0.1], [[1, 2], [2, 1]]),
+            CriterionSweep("c", None, [0.1, -0.1], [[1, 2], [2, 1]]),
+            CriterionSweep("c", 0.1, [0.1, -0.2], [[1, 2], [2, 1]]),
+            CriterionSweep("c", 0.1, [0.1, -0.1], [[1, 2], [1, 2]]),
+        ):
+            assert base != other
+
 
 class TestLeaveOneOut:
     def test_too_few(self):
@@ -307,20 +386,22 @@ def _stability_loop(matrix, weights, step, max_delta):
     deltas.sort(key=lambda d: (abs(d), -d))
     sweeps, preserved, total = [], 0, 0
     for j, criterion in enumerate(matrix.criteria):
-        grid, flip = [], None
+        kept, rows, flip = [], [], None
         for delta in deltas:
             try:
                 perturbed = perturb_weights(weights, j, delta)
             except (OutOfRange, DegenerateBase):
                 continue
             ranks = topsis_rank(matrix, perturbed).ranks()
-            grid.append(GridPoint(delta=delta, ranks=ranks))
+            kept.append(delta)
+            rows.append(ranks)
             total += 1
             if ranks.index(1) == baseline.index(1):
                 preserved += 1
             elif flip is None or abs(delta) < flip:
                 flip = abs(delta)
-        sweeps.append(CriterionSweep(criterion.name, flip, tuple(grid)))
+        ranks = np.array(rows, dtype=np.intp).reshape(len(kept), matrix.m)
+        sweeps.append(CriterionSweep(criterion.name, flip, np.array(kept), ranks))
     return SensitivityReport(
         tuple(sweeps), baseline, preserved / total if total else 1.0, step, max_delta
     )
@@ -477,32 +558,47 @@ class TestStackedLeaveOneOut:
 
 
 class TestChunkedGrid:
-    """rank_stability ranks each criterion's grid in chunks of at most
-    _CHUNK_ELEMENTS // (m * n) weight rows; one call per grid point is the reference."""
+    """rank_stability ranks every criterion's grid in one _grid_ranks call, screened
+    in chunks of at most _GRID_CHUNK_ELEMENTS (k, m) outputs, with kernel calls of at
+    most _CHUNK_ELEMENTS (k, m, n) elements; one call per grid point is the reference."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(tie_prone(), st.integers(1, 60))
     def test_matches_loop_with_small_chunks(self, case, budget):
         matrix, weights = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mcdm.sensitivity, "_CHUNK_ELEMENTS", budget)
+            patch.setattr(mcdm.topsis, "_GRID_CHUNK_ELEMENTS", budget)
+            patch.setattr(mcdm.topsis, "_CHUNK_ELEMENTS", budget)
             got = _outcome(lambda: rank_stability(matrix, weights, 0.1, 0.5))
         assert got == _outcome(lambda: _stability_loop(matrix, weights, 0.1, 0.5))
 
     def test_kernel_calls_stay_within_budget(self, monkeypatch, rng):
         matrix = random_matrix(rng, m=6, n=4)
+        matrix = new_matrix(  # a repeated alternative sends every row to the kernel
+            matrix.alternatives + ("copy",), matrix.criteria, [*matrix.values, matrix.values[0]]
+        )
         whole = rank_stability(matrix, equal_weights(4))
-        sizes = []
-        real = mcdm.sensitivity._grid_ranks
+        passes, screened, kernel = [], [], []
 
-        def recording(unit, rows, benefit):
-            sizes.append(rows.shape[0] * unit.size)
-            return real(unit, rows, benefit)
+        def recording(calls, real):
+            def call(*args):
+                calls.append(len(args[1]) * matrix.m)
+                return real(*args)
 
-        monkeypatch.setattr(mcdm.sensitivity, "_CHUNK_ELEMENTS", 100)
-        monkeypatch.setattr(mcdm.sensitivity, "_grid_ranks", recording)
+            return call
+
+        monkeypatch.setattr(mcdm.topsis, "_GRID_CHUNK_ELEMENTS", 30)
+        monkeypatch.setattr(mcdm.topsis, "_CHUNK_ELEMENTS", 60)
+        for module, name, calls in (
+            (mcdm.sensitivity, "_grid_ranks", passes),
+            (mcdm.topsis, "_grid_closeness", screened),
+            (mcdm.topsis, "_batch_topsis", kernel),
+        ):
+            monkeypatch.setattr(module, name, recording(calls, getattr(module, name)))
         assert rank_stability(matrix, equal_weights(4)) == whole
-        assert len(sizes) > matrix.n and max(sizes) <= 100
+        assert len(passes) == 1 and sum(screened) == passes[0] == sum(kernel)
+        assert len(screened) > matrix.n and max(screened) <= 30
+        assert len(kernel) > len(screened) and max(kernel) * matrix.n <= 60
 
 
 class TestSweepErrors:

@@ -13,6 +13,7 @@ from mcdm.topsis import (
     _batch_topsis,
     _grid_closeness,
     _grid_ranks,
+    _grid_terms,
     _ranks,
     _unit_columns,
     apply_weights,
@@ -430,7 +431,9 @@ def test_scale_invariance(rng):
                 assert a.rank == b.rank
 
 
-SCREEN_KINDS = ("random", "scaled", "tie-prone", "near-duplicate", "clustered", "tiny-weight")
+SCREEN_KINDS = (
+    "random", "scaled", "tie-prone", "near-duplicate", "clustered", "far-clustered", "tiny-weight"
+)
 
 
 @st.composite
@@ -438,9 +441,11 @@ def screen_case(draw):
     """Unit columns, weight rows and directions for _grid_ranks.
 
     Columns are random, scaled by 1e-150 to 1e150, tie-prone integers 0-3,
-    random with one row a duplicate of another but one ulp away, or clustered
-    like Likert means (3 to 3.5, so separations are small and rounding shows);
-    weight rows hold zeros, and 1e-200 entries in the tiny-weight kind.
+    random with one row a duplicate of another but one ulp away, clustered
+    like Likert means (3 to 3.5, so separations are small and rounding shows)
+    or clustered far from zero (1000 to 1000.001, so separations are tiny
+    against the values); weight rows hold zeros, and 1e-200 entries in the
+    tiny-weight kind.
     """
     kind = draw(st.sampled_from(SCREEN_KINDS))
     m, n, k = draw(st.integers(2, 9)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
@@ -456,6 +461,8 @@ def screen_case(draw):
         x[0, j] = np.nextafter(x[0, j], np.inf)
     elif kind == "clustered":
         x = rng.uniform(3, 3.5, (m, n))
+    elif kind == "far-clustered":
+        x = 1000 + rng.uniform(0, 1e-3, (m, n))
     criteria = [Criterion(f"c{j}", B) for j in range(n)]
     try:
         unit = _unit_columns(x, criteria)
@@ -484,7 +491,7 @@ def _outcome(ranks, *case):
 @given(screen_case())
 def test_grid_closeness_is_within_its_bound_of_the_kernel(case):
     unit, w, benefit = case
-    c, eps = _grid_closeness(unit, w, benefit)
+    c, eps = _grid_closeness(_grid_terms(unit, benefit), w)
     for i in range(len(w)):
         try:
             kernel = _batch_topsis(unit, w[i : i + 1], benefit)[2][0]
@@ -524,7 +531,7 @@ def test_near_ties_and_only_near_ties_reach_the_kernel(case, data):
     with pytest.MonkeyPatch.context() as patch:
         _, reached = _rows_reaching_kernel(patch, unit, w, benefit)
     c = _batch_topsis(unit, w, benefit)[2]
-    eps = _grid_closeness(unit, w, benefit)[1]
+    eps = _grid_closeness(_grid_terms(unit, benefit), w)[1]
     # A kernel gap above 4 eps leaves a product gap above 2 eps.
     clear = (np.diff(np.sort(c, axis=1), axis=1) > 4 * eps.max(axis=1, keepdims=True)).all(axis=1)
     assert not set(map(tuple, w[clear].tolist())) & set(reached)
@@ -543,6 +550,24 @@ def test_grid_ranks_send_only_the_tied_row_to_the_kernel(monkeypatch):
     ranks, reached = _rows_reaching_kernel(monkeypatch, unit, w, benefit)
     assert reached == [(0.5, 0.5)]  # equal weights tie the mirror images "a" and "c"
     assert np.array_equal(ranks, _batch_topsis(unit, w, benefit)[3])
+
+
+def test_grid_ranks_screen_columns_clustered_far_from_zero():
+    # Separations are about 1e-6 of the values here, so a bound on the
+    # rounding of whole weights, not of each term, would send every row on.
+    rng = np.random.default_rng(11)
+    rows = reached = 0
+    for _ in range(100):
+        m, n = rng.integers(2, 10), rng.integers(1, 7)
+        unit = _unit_columns(1000 + rng.uniform(0, 1e-3, (m, n)), [Criterion("c", B)] * n)
+        w = rng.uniform(0, 1, (20, n))
+        w /= w.sum(axis=1, keepdims=True)
+        benefit = rng.uniform(0, 1, n) < 0.5
+        with pytest.MonkeyPatch.context() as patch:
+            ranks, kernel_rows = _rows_reaching_kernel(patch, unit, w, benefit)
+        assert np.array_equal(ranks, _batch_topsis(unit, w, benefit)[3])
+        rows, reached = rows + len(w), reached + len(kernel_rows)
+    assert reached < rows / 10
 
 
 @pytest.mark.parametrize("rows", [[[0.0, 1.0]], [[0.5, 0.5], [0.0, 1.0]]])
