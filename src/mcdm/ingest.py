@@ -180,8 +180,6 @@ def aggregate_survey(
     if not responses:
         raise EmptyInput("no survey responses")
     lo, hi = likert_range
-    groups: list[str] = []
-    items: list[str] = []
     cells: dict[tuple[str, str], list[float]] = {}
     for r in responses:
         if not r.respondent_group or not r.item:
@@ -191,14 +189,10 @@ def aggregate_survey(
                 f"rating outside the configured Likert range: group {r.respondent_group!r}, "
                 f"item {r.item!r}, rating {r.rating!r}, range {lo!r} to {hi!r}"
             )
-        if r.respondent_group not in groups:
-            groups.append(r.respondent_group)
-        if r.item not in items:
-            items.append(r.item)
         cells.setdefault((r.respondent_group, r.item), []).append(r.rating)
     # sorted axes keep the output invariant to response order
-    groups.sort()
-    items.sort()
+    groups = sorted({g for g, _ in cells})
+    items = sorted({item for _, item in cells})
 
     values = []
     for g in groups:

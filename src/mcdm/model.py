@@ -1,16 +1,16 @@
 """Core immutable data model: criteria, decision matrices, weights, results.
 
 All types are frozen dataclasses, so they hash, compare and share across
-threads without surprises. A ``DecisionMatrix`` keeps its ratings as one
-C-contiguous, read-only (m, n) float64 array that it owns; numeric code reads
-``values`` directly. Labels, weights and results are plain tuples.
+threads without surprises. Matrices and results hold their numbers as
+read-only arrays (``_ArrayRecord``) that numeric code reads directly; labels
+and weights are plain tuples.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -38,8 +38,44 @@ class Criterion:
             raise InvalidValue("criterion direction must be a Direction")
 
 
+class _ArrayRecord:
+    """Base of frozen ``eq=False`` dataclasses whose fields named in ``_arrays``
+    are read-only numpy arrays. Records of one type are equal when their arrays
+    are (``np.array_equal``) and their other fields are (``==``), and hash by
+    the other fields. Copies and pickles are rebuilt through the constructor,
+    which validates them again and leaves their arrays read-only.
+    """
+
+    _arrays: ClassVar[tuple[str, ...]]
+
+    def _freeze(self, name: str, array: np.ndarray) -> None:
+        """Store ``array``, which no one else may write, read-only as field ``name``."""
+        array.flags.writeable = False
+        object.__setattr__(self, name, array)
+
+    def _keep(self, name: str, array: np.ndarray) -> None:
+        """Store ``array`` read-only as field ``name``, copying it first if it is writeable."""
+        self._freeze(name, array.copy() if array.flags.writeable else array)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(mine, theirs) if f.name in self._arrays else mine == theirs):
+                return False
+        return True
+
+    def __hash__(self):
+        others = (f.name for f in fields(self) if f.name not in self._arrays)
+        return hash(tuple(getattr(self, name) for name in others))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class DecisionMatrix:
+class DecisionMatrix(_ArrayRecord):
     """m alternatives rated against n criteria; ratings finite and >= 0.
 
     ``values`` may be given as any (m, n) nested sequence or array; the
@@ -49,6 +85,7 @@ class DecisionMatrix:
     alternatives: tuple[str, ...]
     criteria: tuple[Criterion, ...]
     values: np.ndarray
+    _arrays = ("values",)
 
     def __post_init__(self):
         m, n = len(self.alternatives), len(self.criteria)
@@ -77,20 +114,7 @@ class DecisionMatrix:
         # NaN propagates through min, so this rejects NaN, inf and negatives.
         if not (values.min() >= 0 and np.isfinite(values.max())):
             raise InvalidValue("matrix values must be finite and nonnegative")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if not isinstance(other, DecisionMatrix):
-            return NotImplemented
-        return (
-            self.alternatives == other.alternatives
-            and self.criteria == other.criteria
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self):
-        return hash((self.alternatives, self.criteria))
+        self._freeze("values", values)
 
     @property
     def m(self) -> int:
@@ -115,7 +139,8 @@ class WeightVector:
     def __post_init__(self):
         if any(w < 0 or not math.isfinite(w) for w in self.weights):
             raise InvalidValue("weights must be finite and nonnegative")
-        if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
+        # fsum is correctly rounded, so term order and Python version cannot matter.
+        if abs(math.fsum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidValue("weights must sum to 1")
 
     def __len__(self) -> int:
@@ -134,25 +159,45 @@ class TopsisRow:
     rank: int
 
 
-@dataclass(frozen=True)
-class TopsisResult:
-    """Per-alternative separations, closeness and rank, in input order."""
+@dataclass(frozen=True, eq=False)
+class TopsisResult(_ArrayRecord):
+    """Per-alternative separations, closeness and rank, in input order: read-only
+    (m,) float64 columns ``s_plus``, ``s_minus`` and ``closeness``, and an intp
+    ``rank`` permutation of 1..m. An array given writeable is copied first."""
 
-    rows: tuple[TopsisRow, ...]
+    alternatives: tuple[str, ...]
+    s_plus: np.ndarray
+    s_minus: np.ndarray
+    closeness: np.ndarray
+    rank: np.ndarray
+    _arrays = ("s_plus", "s_minus", "closeness", "rank")
 
     def __post_init__(self):
-        m = len(self.rows)
-        if sorted(r.rank for r in self.rows) != list(range(1, m + 1)):
+        m = len(self.alternatives)
+        # Before the intp cast, which truncates 2.5; numpy's sort would add 0.4 MB RSS.
+        rank = np.asarray(self.rank)
+        if sorted(rank.tolist()) != list(range(1, m + 1)):
             raise InvalidValue("ranks must be a permutation of 1..m")
+        self._keep("rank", rank.astype(np.intp, copy=False))
+        for name in ("s_plus", "s_minus", "closeness"):
+            self._keep(name, np.asarray(getattr(self, name), dtype=np.float64))
+            if getattr(self, name).shape != (m,):
+                raise DimensionMismatch(f"{name} must hold one value per alternative")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.alternatives)
+
+    @property
+    def rows(self) -> tuple[TopsisRow, ...]:
+        """The result as TopsisRows of Python floats and ints."""
+        columns = (getattr(self, name).tolist() for name in self._arrays)
+        return tuple(map(TopsisRow, self.alternatives, *columns))
 
     def closenesses(self) -> tuple[float, ...]:
-        return tuple(r.closeness for r in self.rows)
+        return tuple(self.closeness.tolist())
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(r.rank for r in self.rows)
+        return tuple(self.rank.tolist())
 
 
 def new_matrix(

@@ -7,9 +7,9 @@ uses LF line endings regardless of platform.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterator
 
-from .model import TopsisResult, TopsisRow, WeightVector
+from .model import TopsisResult, WeightVector
 from .sensitivity import LeaveOneOutReport, SensitivityReport
 
 
@@ -20,10 +20,8 @@ def _fmt(x: float) -> str:
 def render_topsis_table(result: TopsisResult) -> str:
     """Tab-separated table with the published column layout; rows in input order."""
     lines = ["Alternative\tSi-\tSi+\tci\trank"]
-    for r in result.rows:
-        lines.append(
-            f"{r.alternative}\t{_fmt(r.s_minus)}\t{_fmt(r.s_plus)}\t{_fmt(r.closeness)}\t{r.rank}"
-        )
+    for label, s_plus, s_minus, c, r in _topsis_rows(result):
+        lines.append(f"{label}\t{_fmt(s_minus)}\t{_fmt(s_plus)}\t{_fmt(c)}\t{r}")
     return "\n".join(lines) + "\n"
 
 
@@ -47,17 +45,17 @@ def render_sensitivity_table(report: SensitivityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The JSON keys of a TopsisResult row, and its columns' names after "alternative".
+_TOPSIS_KEYS = ("alternative", "s_plus", "s_minus", "closeness", "rank")
+
+
+def _topsis_rows(result: TopsisResult) -> Iterator[tuple[Any, ...]]:
+    """Each alternative's label and column values, as Python floats and ints."""
+    return zip(result.alternatives, *(getattr(result, k).tolist() for k in _TOPSIS_KEYS[1:]))
+
+
 def _topsis_to_obj(result: TopsisResult) -> list[dict[str, Any]]:
-    return [
-        {
-            "alternative": r.alternative,
-            "s_plus": r.s_plus,
-            "s_minus": r.s_minus,
-            "closeness": r.closeness,
-            "rank": r.rank,
-        }
-        for r in result.rows
-    ]
+    return [dict(zip(_TOPSIS_KEYS, row)) for row in _topsis_rows(result)]
 
 
 def _sensitivity_to_obj(report: SensitivityReport) -> dict[str, Any]:
@@ -118,16 +116,8 @@ def parse_topsis_json(text: str) -> TopsisResult:
     """Inverse of ``export_json`` for TopsisResult payloads."""
     rows = json.loads(text)
     return TopsisResult(
-        rows=tuple(
-            TopsisRow(
-                alternative=r["alternative"],
-                s_plus=r["s_plus"],
-                s_minus=r["s_minus"],
-                closeness=r["closeness"],
-                rank=r["rank"],
-            )
-            for r in rows
-        )
+        tuple(r["alternative"] for r in rows),
+        *([r[key] for r in rows] for key in _TOPSIS_KEYS[1:]),
     )
 
 
@@ -150,7 +140,7 @@ def emit_bar_chart(result: TopsisResult) -> str:
     plot_h = 240
     width = left + m * (bar_w + gap) + gap
     height = top + plot_h + 120
-    peak = max(r.closeness for r in result.rows)
+    peak = max(result.closeness.tolist())
     scale = plot_h / peak if peak > 0 else 0.0
 
     parts = [
@@ -160,8 +150,8 @@ def emit_bar_chart(result: TopsisResult) -> str:
         f'<line x1="{left}" y1="{top + plot_h}" x2="{width - gap}" y2="{top + plot_h}" '
         'stroke="black" stroke-width="1"/>',
     ]
-    for i, r in enumerate(result.rows):
-        h = r.closeness * scale
+    for i, (label, _, _, c, r) in enumerate(_topsis_rows(result)):
+        h = c * scale
         x = left + gap + i * (bar_w + gap)
         y = top + plot_h - h
         parts.append(
@@ -169,12 +159,12 @@ def emit_bar_chart(result: TopsisResult) -> str:
         )
         parts.append(
             f'<text x="{x + bar_w / 2}" y="{y - 6:.2f}" font-size="11" '
-            f'text-anchor="middle">{r.rank}</text>'
+            f'text-anchor="middle">{r}</text>'
         )
         parts.append(
             f'<text x="{x + bar_w / 2}" y="{top + plot_h + 10}" font-size="9" '
             f'text-anchor="start" transform="rotate(60 {x + bar_w / 2} {top + plot_h + 10})">'
-            f"{_xml_escape(r.alternative)}</text>"
+            f"{_xml_escape(label)}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

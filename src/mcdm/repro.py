@@ -188,20 +188,22 @@ def reproduce(config: ReproConfig) -> ConfigReport:
     except McdmError as exc:
         return ConfigReport(config, "failed", str(exc), None, None, None, None, None)
 
+    # got[k] is the computed row compared with published row k.
     if config.orientation is Orientation.TRANSPOSED:
-        by_label = {r.alternative: r for r in result.rows}
-        pairs = [(by_label[r.alternative], r) for r in expected.rows]
+        position = {label: i for i, label in enumerate(result.alternatives)}
+        got = [position[label] for label in expected.alternatives]
     else:
-        pairs = list(zip(result.rows, expected.rows))
+        got = list(range(len(result)))
 
-    deltas = [abs(got.closeness - want.closeness) for got, want in pairs]
-    matches = sum(1 for got, want in pairs if got.rank == want.rank)
-    tau = _kendall_tau([got.rank for got, _ in pairs], [want.rank for _, want in pairs])
+    deltas = abs(result.closeness[got] - expected.closeness[: len(got)]).tolist()
+    got_ranks, want_ranks = result.rank[got].tolist(), expected.rank[: len(got)].tolist()
+    matches = sum(g == w for g, w in zip(got_ranks, want_ranks))
+    tau = _kendall_tau(got_ranks, want_ranks)
     return ConfigReport(
         config=config,
         status="ok",
         failure_reason=None,
-        rows_compared=len(pairs),
+        rows_compared=len(got),
         max_abs_ci_delta=max(deltas),
         mean_abs_ci_delta=sum(deltas) / len(deltas),
         exact_rank_matches=matches,

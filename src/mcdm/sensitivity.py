@@ -18,7 +18,7 @@ from .errors import (
     OutOfRange,
     TooFewAlternatives,
 )
-from .model import WEIGHT_SUM_TOL, DecisionMatrix, WeightVector, new_matrix
+from .model import WEIGHT_SUM_TOL, DecisionMatrix, WeightVector, _ArrayRecord, new_matrix
 from .topsis import (
     _CHUNK_ELEMENTS,
     _U,
@@ -40,14 +40,8 @@ _FEASIBILITY_EPS = 1e-9
 _MAX_GRID_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    delta: float
-    ranks: tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
-class CriterionSweep:
+class CriterionSweep(_ArrayRecord):
     """One criterion's grid: row i of ``ranks`` holds every alternative's rank
     at weight shift ``deltas[i]``.
 
@@ -60,34 +54,11 @@ class CriterionSweep:
     deltas: np.ndarray
     ranks: np.ndarray
 
+    _arrays = ("deltas", "ranks")
+
     def __post_init__(self):
-        for name, dtype in (("deltas", np.float64), ("ranks", np.intp)):
-            array = np.asarray(getattr(self, name), dtype=dtype)
-            if array.flags.writeable:
-                array = array.copy()
-                array.flags.writeable = False
-            object.__setattr__(self, name, array)
-
-    def __eq__(self, other):
-        if not isinstance(other, CriterionSweep):
-            return NotImplemented
-        return (
-            self.criterion == other.criterion
-            and self.flip_threshold == other.flip_threshold
-            and np.array_equal(self.deltas, other.deltas)
-            and np.array_equal(self.ranks, other.ranks)
-        )
-
-    def __hash__(self):
-        return hash((self.criterion, self.flip_threshold))
-
-    @property
-    def grid(self) -> tuple[GridPoint, ...]:
-        """The grid as GridPoints of Python floats and ints."""
-        return tuple(
-            GridPoint(delta=d, ranks=tuple(r))
-            for d, r in zip(self.deltas.tolist(), self.ranks.tolist())
-        )
+        self._keep("deltas", np.asarray(self.deltas, dtype=np.float64))
+        self._keep("ranks", np.asarray(self.ranks, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -152,12 +123,12 @@ def perturb_weights(weights: WeightVector, j: int, delta: float) -> WeightVector
 def _rejected_rows(rows: np.ndarray) -> np.ndarray:
     """Mask of the (k, n) rows that WeightVector rejects, by its two rules.
 
-    Its sum rule takes Python's ``sum``, which can differ from numpy's in the
-    last bits. On finite, nonnegative rows both lie within gamma_(n-1) of the
-    exact total (Higham, ch. 4, for any order; compensated sums do better),
-    so they differ by less than 4 n u (s + 1), with s numpy's sum. Only a row
-    whose numpy sum is that close to the edge of the tolerance is summed
-    again by ``sum`` itself.
+    Its sum rule takes ``math.fsum``, which is correctly rounded and so can
+    differ from numpy's sum in the last bits. On finite, nonnegative rows
+    numpy's sum lies within gamma_(n-1) of the exact total (Higham, ch. 4, for
+    any order) and fsum within u times it, so they differ by less than
+    4 n u (s + 1), with s numpy's sum. Only a row whose numpy sum is that
+    close to the edge of the tolerance is summed again by ``math.fsum``.
     """
     rejected = ~(np.isfinite(rows) & (rows >= 0)).all(axis=1)
     sums = rows.sum(axis=1)
@@ -165,7 +136,7 @@ def _rejected_rows(rows: np.ndarray) -> np.ndarray:
     margin = (4 * rows.shape[1] * _U) * (sums + 1.0)
     rejected |= miss > WEIGHT_SUM_TOL + margin
     for i in np.flatnonzero(~rejected & (miss >= WEIGHT_SUM_TOL - margin)).tolist():
-        rejected[i] = abs(sum(rows[i].tolist()) - 1.0) > WEIGHT_SUM_TOL
+        rejected[i] = abs(math.fsum(rows[i].tolist()) - 1.0) > WEIGHT_SUM_TOL
     return rejected
 
 
@@ -296,7 +267,7 @@ def leave_one_out(
     if matrix.m < 3:
         raise TooFewAlternatives("leave-one-out needs at least three alternatives")
     m = matrix.m
-    baseline = np.array(topsis_rank(matrix, weights).ranks())
+    baseline = topsis_rank(matrix, weights).rank
     benefit = _benefit_mask(matrix.directions)
     w = weights.to_array()[None, :]
     # A reweighted removal has weights of its own, so it is ranked alone.

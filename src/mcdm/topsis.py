@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateAlternative, DimensionMismatch, InvalidValue, ZeroColumn
-from .model import Criterion, DecisionMatrix, Direction, TopsisResult, TopsisRow, WeightVector
+from .model import Criterion, DecisionMatrix, Direction, TopsisResult, WeightVector
 
 
 @dataclass(frozen=True)
@@ -301,16 +301,11 @@ def rank(closeness_values: Sequence[float]) -> list[int]:
 
 
 def topsis_rank(matrix: DecisionMatrix, weights: WeightVector) -> TopsisResult:
-    """Full pipeline; result rows stay in input alternative order."""
+    """Full pipeline; the result's columns stay in input alternative order."""
     if matrix.m < 2:
         raise DegenerateAlternative("TOPSIS needs at least two alternatives")
     unit = _unit_columns(matrix.values, matrix.criteria)
-    columns = _batch_topsis(
+    s_plus, s_minus, cis, ranks = _batch_topsis(
         unit, weights.to_array()[None, :], _benefit_mask(matrix.directions)
     )
-    s_plus, s_minus, cis, ranks = (a[0].tolist() for a in columns)
-    rows = tuple(
-        TopsisRow(alternative=label, s_plus=p, s_minus=m, closeness=c, rank=r)
-        for label, p, m, c, r in zip(matrix.alternatives, s_plus, s_minus, cis, ranks)
-    )
-    return TopsisResult(rows=rows)
+    return TopsisResult(matrix.alternatives, s_plus[0], s_minus[0], cis[0], ranks[0])

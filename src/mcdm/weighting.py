@@ -26,7 +26,7 @@ from .errors import (
     ZeroColumn,
 )
 from .ingest import _lines
-from .model import DecisionMatrix, WeightVector
+from .model import DecisionMatrix, WeightVector, _ArrayRecord
 from .topsis import _TINY, _named, _unit_columns
 
 # Saaty's random consistency indices for n = 1..10 (external AHP constants).
@@ -43,34 +43,36 @@ class Basis(Enum):
     VECTOR_NORMALIZED = "normalized"
 
 
-@dataclass(frozen=True)
-class PairwiseMatrix:
-    """Reciprocal pairwise comparison matrix with unit diagonal."""
+@dataclass(frozen=True, eq=False)
+class PairwiseMatrix(_ArrayRecord):
+    """Reciprocal pairwise comparison matrix with unit diagonal, kept as a
+    read-only (n, n) float64 array; a writeable one is copied first."""
 
     labels: tuple[str, ...]
-    comparisons: tuple[tuple[float, ...], ...]
+    comparisons: np.ndarray
+    _arrays = ("comparisons",)
 
     def __post_init__(self):
         n = len(self.labels)
         if len(self.comparisons) != n or any(len(r) != n for r in self.comparisons):
             raise InvalidValue("comparison grid must be n x n")
-        for i in range(n):
-            for j in range(n):
-                v = self.comparisons[i][j]
-                if not math.isfinite(v) or v <= 0:
-                    raise InvalidValue("comparisons must be finite and positive")
-                if abs(v * self.comparisons[j][i] - 1.0) > _RECIPROCITY_TOL:
-                    raise InvalidValue("comparison matrix is not reciprocal")
-        for i in range(n):
-            if abs(self.comparisons[i][i] - 1.0) > _RECIPROCITY_TOL:
-                raise InvalidValue("diagonal comparisons must equal 1")
+        a = np.asarray(self.comparisons, dtype=float).reshape(n, n)  # () becomes 0 x 0
+        # Errors as a row-major scan raises them: the first faulty cell decides,
+        # and at that cell a bad value comes before a reciprocity fault.
+        bad = ~(np.isfinite(a) & (a > 0))
+        with np.errstate(over="ignore", invalid="ignore"):  # such cells are faults
+            fault = bad | (np.abs(a * a.T - 1.0) > _RECIPROCITY_TOL)
+        if fault.any():
+            if bad.flat[np.argmax(fault)]:
+                raise InvalidValue("comparisons must be finite and positive")
+            raise InvalidValue("comparison matrix is not reciprocal")
+        if np.any(np.abs(np.diagonal(a) - 1.0) > _RECIPROCITY_TOL):
+            raise InvalidValue("diagonal comparisons must equal 1")
+        self._keep("comparisons", a)
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.comparisons, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def entropy_weights(matrix: DecisionMatrix) -> WeightVector:
 
 def ahp_weights(pairwise: PairwiseMatrix) -> AhpOutcome:
     """Principal eigenvector by power iteration, plus CI/CR consistency checks."""
-    a = pairwise.to_array()
+    a = pairwise.comparisons
     n = pairwise.n
     w = np.full(n, 1.0 / n)
     change = math.inf

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcdm.errors import (
     EmptyInput,
@@ -184,6 +186,35 @@ def test_aggregate_mean_order_invariant():
     shuffled = responses[:]
     rng.shuffle(shuffled)
     assert aggregate_survey(shuffled, Statistic.MEAN).values.tolist() == base.values.tolist()
+
+
+@st.composite
+def survey_responses(draw):
+    """Responses for every cell of a small group x item grid, one cell maybe left out."""
+    names = st.sampled_from(["g1", "g2", "g10", "G"])
+    labels = st.lists(names, min_size=1, max_size=3, unique=True)
+    groups = draw(labels)
+    items = draw(labels.map(lambda names: [name.replace("g", "q") for name in names]))
+    cells = [(g, item) for g in groups for item in items]
+    if len(cells) > 1 and draw(st.booleans()):
+        cells.pop(draw(st.integers(0, len(cells) - 1)))
+    ratings = st.lists(st.floats(1.0, 5.0), min_size=1, max_size=3)
+    return [SurveyResponse(g, item, x) for g, item in cells for x in draw(ratings)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(survey_responses(), st.sampled_from(Statistic), st.randoms(use_true_random=False))
+def test_aggregate_invariant_to_response_order(responses, statistic, rnd):
+    shuffled = responses[:]
+    rnd.shuffle(shuffled)
+
+    def outcome(rs):
+        try:
+            return aggregate_survey(rs, statistic)
+        except (MissingCell, InsufficientData) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(shuffled) == outcome(responses)
 
 
 def test_parse_survey_csv():

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from mcdm.model import (
     transpose,
 )
 from mcdm.repro import builtin_fixture
+from mcdm.sensitivity import CriterionSweep
+from mcdm.weighting import PairwiseMatrix
 
 B = Direction.BENEFIT
 C = Direction.COST
@@ -145,11 +149,89 @@ def test_weight_vector_validation():
     assert len(w) == 4
 
 
+def test_weight_sum_check_is_order_free():
+    # 20000 weights of 1e-16 add 2e-12: a plain left-to-right sum loses them
+    # all after a leading 1.0, so only a correctly rounded sum rejects both orders.
+    small = (1e-16,) * 20000
+    for weights in ((1.0, *small), (*small, 1.0)):
+        with pytest.raises(InvalidValue, match="^weights must sum to 1$"):
+            WeightVector(weights=weights, method="manual")
+
+
 def test_topsis_result_rank_permutation():
-    with pytest.raises(InvalidValue):
-        TopsisResult(
-            rows=(
-                TopsisRow("a", 0.1, 0.2, 0.6, 1),
-                TopsisRow("b", 0.2, 0.1, 0.4, 1),
-            )
+    with pytest.raises(InvalidValue, match="^ranks must be a permutation of 1..m$"):
+        TopsisResult(("a", "b"), [0.1, 0.2], [0.2, 0.1], [0.6, 0.4], [1, 1])
+    with pytest.raises(InvalidValue, match="^ranks must be a permutation of 1..m$"):
+        TopsisResult(("a", "b"), [0.1, 0.2], [0.2, 0.1], [0.6, 0.4], [1, 2.5])
+
+
+def test_topsis_result_columns():
+    result = TopsisResult(("a", "b"), [0.1, 0.2], [0.2, 0.1], [2 / 3, 1 / 3], [1, 2])
+    for name in ("s_plus", "s_minus", "closeness"):
+        assert getattr(result, name).dtype == np.float64
+    assert result.rank.dtype == np.intp
+    assert result.closenesses() == (2 / 3, 1 / 3) and result.ranks() == (1, 2)
+    assert all(type(c) is float for c in result.closenesses())
+    assert all(type(r) is int for r in result.ranks())
+    assert result.rows == (
+        TopsisRow("a", 0.1, 0.2, 2 / 3, 1),
+        TopsisRow("b", 0.2, 0.1, 1 / 3, 2),
+    )
+    with pytest.raises(DimensionMismatch, match="^closeness must hold one value per"):
+        TopsisResult(("a", "b"), [0.1, 0.2], [0.2, 0.1], [2 / 3], [1, 2])
+
+
+def test_topsis_result_equality_compares_every_field():
+    def result(**change):
+        fields = dict(
+            alternatives=("a", "b"), s_plus=[0.1, 0.2], s_minus=[0.2, 0.1],
+            closeness=[0.6, 0.4], rank=[1, 2],
         )
+        return TopsisResult(**{**fields, **change})
+
+    base = result()
+    assert base == result() and hash(base) == hash(result())
+    assert base == result(s_plus=np.array([0.1, 0.2]), rank=np.array([1, 2]))
+    for other in (
+        result(alternatives=("a", "c")),
+        result(s_plus=[0.1, 0.3]),
+        result(s_minus=[0.2, 0.3]),
+        result(closeness=[0.6, 0.5]),
+        result(rank=[2, 1]),
+    ):
+        assert base != other
+    assert base != base.rows
+
+
+# One of each record that holds arrays, built from writeable inputs.
+RECORDS = {
+    "DecisionMatrix": lambda: new_matrix(
+        ["a", "b"], [Criterion("c1", B), Criterion("c2", C)], np.array([[1.0, 2.0], [3.0, 4.0]])
+    ),
+    "CriterionSweep": lambda: CriterionSweep(
+        "c", 0.1, np.array([0.1, -0.1]), np.array([[1, 2], [2, 1]])
+    ),
+    "TopsisResult": lambda: TopsisResult(
+        ("a", "b"), np.array([0.1, 0.2]), np.array([0.2, 0.1]),
+        np.array([2 / 3, 1 / 3]), np.array([1, 2]),
+    ),
+    "PairwiseMatrix": lambda: PairwiseMatrix(("a", "b"), np.array([[1.0, 2.0], [0.5, 1.0]])),
+}
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_copies_stay_equal_and_read_only(copy_of, make):
+    record = make()
+    twin = copy_of(record)
+    assert type(twin) is type(record)
+    assert twin == record and hash(twin) == hash(record)
+    for name in record._arrays:
+        array = getattr(twin, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0

@@ -1,6 +1,10 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcdm.errors import (
     AllZero,
@@ -179,6 +183,42 @@ def consistent_pairwise(weights, labels=None):
     return PairwiseMatrix(labels=tuple(labels), comparisons=grid)
 
 
+def _pairwise_scan(grid):
+    """The reference check: a plain row-major double loop over the cells."""
+    n = len(grid)
+    for i in range(n):
+        for j in range(n):
+            v = grid[i][j]
+            if not math.isfinite(v) or v <= 0:
+                raise InvalidValue("comparisons must be finite and positive")
+            if abs(v * grid[j][i] - 1.0) > 1e-9:
+                raise InvalidValue("comparison matrix is not reciprocal")
+    for i in range(n):
+        if abs(grid[i][i] - 1.0) > 1e-9:
+            raise InvalidValue("diagonal comparisons must equal 1")
+
+
+_FAULTS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0, 1e200, 1e-200, 3.0, 1 + 1e-10]
+
+
+@st.composite
+def pairwise_with_faults(draw):
+    """A small reciprocal grid, some of whose cells are then overwritten by faults."""
+    n = draw(st.integers(1, 4))
+    ratios = st.sampled_from([1.0, 2.0, 3.0, 0.25, 7.0, 1 / 3])
+    grid = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            grid[i][j] = draw(ratios)
+            grid[j][i] = 1.0 / grid[i][j]
+    for i, j, fault in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(_FAULTS)),
+                 max_size=3)
+    ):
+        grid[i][j] = fault
+    return tuple(map(tuple, grid))
+
+
 class TestAhpWeights:
     def test_all_ones(self):
         out = ahp_weights(consistent_pairwise([1, 1, 1]))
@@ -243,10 +283,34 @@ class TestAhpWeights:
         with pytest.raises(InvalidValue):
             PairwiseMatrix(labels=("a", "b"), comparisons=((1.0, 2.0), (0.6, 1.0)))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [((1.0, 2.0), (0.5,)), ((1.0,), (0.5, 1.0)), ((1.0, 2.0),), ((1.0, 2.0, 3.0),) * 2],
+    )
+    def test_ragged_or_non_square_grid(self, grid):
+        with pytest.raises(InvalidValue, match="^comparison grid must be n x n$"):
+            PairwiseMatrix(labels=("a", "b"), comparisons=grid)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(pairwise_with_faults())
+    def test_errors_follow_a_row_major_scan(self, grid):
+        def outcome(build):
+            try:
+                build()
+            except InvalidValue as exc:
+                return str(exc)
+            return None
+
+        labels = tuple(f"c{i}" for i in range(len(grid)))
+        assert outcome(lambda: PairwiseMatrix(labels, grid)) == outcome(
+            lambda: _pairwise_scan(grid)
+        )
+
     def test_parse_pairwise_csv(self):
         pm = parse_pairwise_csv("a,b\n1,2\n0.5,1\n")
         assert pm.labels == ("a", "b")
-        assert pm.comparisons == ((1.0, 2.0), (0.5, 1.0))
+        assert pm.comparisons.tolist() == [[1.0, 2.0], [0.5, 1.0]]
+        assert pm.comparisons.dtype == np.float64 and not pm.comparisons.flags.writeable
 
     @pytest.mark.parametrize(
         "text", ["\ufeffa,b\n1,2\n0.5,1\n", "a,b\r\n\r\n1,2\r\n\n0.5,1\r\n\n"]
