@@ -57,6 +57,11 @@ class _ArrayRecord:
         """Store ``array`` read-only as field ``name``, copying it first if it is writeable."""
         self._freeze(name, array.copy() if array.flags.writeable else array)
 
+    def _tuples(self, *names: str) -> None:
+        """Store each field in ``names`` as a tuple: a list given for it may change later."""
+        for name in names:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -79,7 +84,8 @@ class DecisionMatrix(_ArrayRecord):
     """m alternatives rated against n criteria; ratings finite and >= 0.
 
     ``values`` may be given as any (m, n) nested sequence or array; the
-    matrix stores its own read-only C-ordered float64 copy.
+    matrix stores its own read-only C-ordered float64 copy. Labels and
+    criteria may be given as any sequences; the matrix stores tuples.
     """
 
     alternatives: tuple[str, ...]
@@ -88,6 +94,7 @@ class DecisionMatrix(_ArrayRecord):
     _arrays = ("values",)
 
     def __post_init__(self):
+        self._tuples("alternatives", "criteria")
         m, n = len(self.alternatives), len(self.criteria)
         if m < 1 or n < 1:
             raise DimensionMismatch("matrix must have at least one row and one column")
@@ -140,7 +147,11 @@ class WeightVector:
         if any(w < 0 or not math.isfinite(w) for w in self.weights):
             raise InvalidValue("weights must be finite and nonnegative")
         # fsum is correctly rounded, so term order and Python version cannot matter.
-        if abs(math.fsum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
+        try:
+            total = math.fsum(self.weights)
+        except OverflowError:  # finite weights whose sum overflows are far from 1
+            total = math.inf
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidValue("weights must sum to 1")
 
     def __len__(self) -> int:
@@ -173,6 +184,7 @@ class TopsisResult(_ArrayRecord):
     _arrays = ("s_plus", "s_minus", "closeness", "rank")
 
     def __post_init__(self):
+        self._tuples("alternatives")
         m = len(self.alternatives)
         # Before the intp cast, which truncates 2.5; numpy's sort would add 0.4 MB RSS.
         rank = np.asarray(self.rank)
@@ -206,9 +218,7 @@ def new_matrix(
     values: Sequence[Sequence[float]] | np.ndarray,
 ) -> DecisionMatrix:
     """Construct a validated immutable decision matrix."""
-    return DecisionMatrix(
-        alternatives=tuple(alternatives), criteria=tuple(criteria), values=values
-    )
+    return DecisionMatrix(alternatives, criteria, values)
 
 
 def transpose(matrix: DecisionMatrix, new_directions: Sequence[Direction]) -> DecisionMatrix:
@@ -219,9 +229,5 @@ def transpose(matrix: DecisionMatrix, new_directions: Sequence[Direction]) -> De
     """
     if len(new_directions) != matrix.m:
         raise DimensionMismatch("need one direction per input alternative")
-    crits = tuple(Criterion(a, d) for a, d in zip(matrix.alternatives, new_directions))
-    return DecisionMatrix(
-        alternatives=tuple(c.name for c in matrix.criteria),
-        criteria=crits,
-        values=matrix.values.T,
-    )
+    criteria = [Criterion(a, d) for a, d in zip(matrix.alternatives, new_directions)]
+    return DecisionMatrix([c.name for c in matrix.criteria], criteria, matrix.values.T)

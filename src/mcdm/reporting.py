@@ -116,7 +116,7 @@ def parse_topsis_json(text: str) -> TopsisResult:
     """Inverse of ``export_json`` for TopsisResult payloads."""
     rows = json.loads(text)
     return TopsisResult(
-        tuple(r["alternative"] for r in rows),
+        [r["alternative"] for r in rows],
         *([r[key] for r in rows] for key in _TOPSIS_KEYS[1:]),
     )
 

@@ -232,16 +232,10 @@ def run_sweep() -> ReproReport:
     configurations stay in the report as first-class rows.
     """
     entries = tuple(reproduce(c) for c in all_configs())
-    best = None
-    best_key = None
-    for e in entries:
-        if e.status != "ok":
-            continue
-        key = (e.mean_abs_ci_delta, -e.kendall_tau)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = e.config
-    return ReproReport(entries=entries, best_config=best)
+    ok = (e for e in entries if e.status == "ok")
+    # min keeps the first of equal keys: enumeration order.
+    best = min(ok, key=lambda e: (e.mean_abs_ci_delta, -e.kendall_tau), default=None)
+    return ReproReport(entries=entries, best_config=None if best is None else best.config)
 
 
 def render_repro_table(report: ReproReport) -> str:

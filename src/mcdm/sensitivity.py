@@ -86,38 +86,38 @@ class LeaveOneOutReport:
         return any(e.reversed_pairs for e in self.effects)
 
 
-def _perturbed(
-    w: np.ndarray, j: int, deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One row of w per delta: w[j] shifted by delta, the rest rescaled to sum 1.
-
-    Also returns two masks over the deltas: the shifted weight is NaN or
-    leaves [0, 1] (beyond _FEASIBILITY_EPS), and the delta takes weight away
-    from a w[j] of 1, which leaves nothing to rescale. Rows under either mask
-    are not perturbations.
-    """
-    shifted = w[j] + deltas
+def _infeasible(wj: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the pairs (wj[i], deltas[i]) that are not perturbations: the
+    shifted weight is NaN or leaves [0, 1] (beyond _FEASIBILITY_EPS), and the
+    delta takes weight away from a wj of 1, which leaves nothing to rescale."""
+    shifted = wj + deltas
     out_of_range = ~((shifted >= -_FEASIBILITY_EPS) & (shifted <= 1 + _FEASIBILITY_EPS))
-    pinned = (w[j] == 1.0) & (deltas < 0)
-    new_wj = np.clip(shifted, 0.0, 1.0)
-    scale = (1.0 - new_wj) / (1.0 - w[j]) if w[j] != 1.0 else np.zeros_like(new_wj)
+    return out_of_range, (wj == 1.0) & (deltas < 0)
+
+
+def _perturbed(w: np.ndarray, j: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """One row of w per pair (j[i], deltas[i]): w[j[i]] shifted by deltas[i],
+    the rest rescaled to sum 1."""
+    wj = w[j]
+    new_wj = np.clip(wj + deltas, 0.0, 1.0)
+    scale = np.divide(1.0 - new_wj, 1.0 - wj, out=np.zeros_like(new_wj), where=wj != 1.0)
     rows = w * scale[:, None]
-    rows[:, j] = new_wj
-    return rows, out_of_range, pinned
+    rows[np.arange(len(j)), j] = new_wj
+    return rows
 
 
 def perturb_weights(weights: WeightVector, j: int, delta: float) -> WeightVector:
     """Shift weight j by delta, rescaling the others proportionally."""
     if not 0 <= j < len(weights):
         raise OutOfRange("criterion index out of range")
-    rows, out_of_range, pinned = _perturbed(
-        weights.to_array(), j, np.array([delta], dtype=float)
-    )
+    w, pair, deltas = weights.to_array(), np.array([j]), np.array([delta], dtype=float)
+    out_of_range, pinned = _infeasible(w[pair], deltas)
     if out_of_range[0]:
         raise OutOfRange("perturbed weight leaves [0, 1]")
     if pinned[0]:
         raise DegenerateBase("cannot redistribute from a weight of 1")
-    return WeightVector(weights=tuple(rows[0].tolist()), method=weights.method)
+    row = _perturbed(w, pair, deltas)[0]
+    return WeightVector(weights=tuple(row.tolist()), method=weights.method)
 
 
 def _rejected_rows(rows: np.ndarray) -> np.ndarray:
@@ -168,26 +168,23 @@ def rank_stability(
     baseline = _batch_topsis(unit, w[None, :], benefit)[3][0]
     base_top = int(np.argmin(baseline))
 
-    # Smallest magnitude first, + before -.
+    # Criterion-major pairs; within a criterion, smallest magnitude first, + before -.
     magnitudes = np.arange(1, steps + 1) * step
-    deltas = np.stack([magnitudes, -magnitudes], 1).ravel()
-
-    row_blocks, delta_blocks = [], []
-    for j in range(matrix.n):
-        rows, out_of_range, pinned = _perturbed(w, j, deltas)
-        feasible = ~(out_of_range | pinned)
-        row_blocks.append(rows[feasible])
-        delta_blocks.append(deltas[feasible])
-    rows, row_deltas = np.concatenate(row_blocks), np.concatenate(delta_blocks)
-    row_deltas.flags.writeable = False
-    sizes = [len(block) for block in row_blocks]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    grid = np.stack([magnitudes, -magnitudes], 1).ravel()
+    j = np.repeat(np.arange(matrix.n), len(grid))
+    deltas = np.tile(grid, matrix.n)
+    out_of_range, pinned = _infeasible(w[j], deltas)
+    feasible = ~(out_of_range | pinned)
+    j, deltas = j[feasible], deltas[feasible]
+    deltas.flags.writeable = False
+    rows = _perturbed(w, j, deltas)
+    # Criterion c's rows are rows[bounds[c]:bounds[c + 1]].
+    bounds = np.searchsorted(j, np.arange(matrix.n + 1)).tolist()
 
     rejected = _rejected_rows(rows)
     ranked = len(rows)
     if rejected.any():
-        ranked = starts[np.searchsorted(ends, np.argmax(rejected), side="right")]
+        ranked = bounds[j[np.argmax(rejected)]]
     ranks = _grid_ranks(unit, rows[:ranked], benefit)
     for row in rows[rejected].tolist():
         WeightVector(weights=tuple(row), method=weights.method)
@@ -196,13 +193,13 @@ def rank_stability(
     # Each rank row is a permutation, so rank 1 at base_top keeps the top.
     keeps_top = ranks[:, base_top] == 1
     sweeps = []
-    for criterion, start, end in zip(matrix.criteria, starts.tolist(), ends.tolist()):
-        flips = np.abs(row_deltas[start:end][~keeps_top[start:end]])
+    for criterion, start, end in zip(matrix.criteria, bounds, bounds[1:]):
+        flips = np.abs(deltas[start:end][~keeps_top[start:end]])
         sweeps.append(
             CriterionSweep(
                 criterion=criterion.name,
                 flip_threshold=float(flips.min()) if len(flips) else None,
-                deltas=row_deltas[start:end],
+                deltas=deltas[start:end],
                 ranks=ranks[start:end],
             )
         )

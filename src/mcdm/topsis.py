@@ -225,13 +225,13 @@ def _grid_ranks(unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray) -> n
     sort, which the screen reads its gaps from, gives that order. Every other
     row, including any whose closeness the kernel leaves undefined, is ranked
     by the kernel, which raises as usual. The weight-independent terms are
-    computed once; rows are screened in chunks of ``_GRID_CHUNK_ELEMENTS``
-    outputs and go to the kernel in chunks of ``_CHUNK_ELEMENTS`` elements.
+    computed once. Rows are screened in chunks of at most ``_GRID_CHUNK_ELEMENTS``
+    (k, m) outputs and ``_CHUNK_ELEMENTS`` (k, m, n) elements, so each chunk's
+    unsure rows go to the kernel in one call.
     """
     terms = _grid_terms(unit, benefit)
     ranks = np.empty((len(weights), len(unit)), dtype=np.intp)
-    chunk = max(1, _GRID_CHUNK_ELEMENTS // len(unit))
-    step = max(1, _CHUNK_ELEMENTS // unit.size)
+    chunk = max(1, min(_GRID_CHUNK_ELEMENTS // len(unit), _CHUNK_ELEMENTS // unit.size))
     for start in range(0, len(weights), chunk):
         rows = weights[start : start + chunk]
         c, eps = _grid_closeness(terms, rows)
@@ -244,9 +244,8 @@ def _grid_ranks(unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray) -> n
         out = ranks[start : start + chunk]
         out[:] = _ranks_from(order)
         unsure = np.flatnonzero(~sure)
-        for i in range(0, len(unsure), step):
-            near = unsure[i : i + step]
-            out[near] = _batch_topsis(unit, rows[near], benefit)[3]
+        if len(unsure):
+            out[unsure] = _batch_topsis(unit, rows[unsure], benefit)[3]
     return ranks
 
 

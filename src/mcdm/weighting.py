@@ -53,6 +53,7 @@ class PairwiseMatrix(_ArrayRecord):
     _arrays = ("comparisons",)
 
     def __post_init__(self):
+        self._tuples("labels")
         n = len(self.labels)
         if len(self.comparisons) != n or any(len(r) != n for r in self.comparisons):
             raise InvalidValue("comparison grid must be n x n")
@@ -66,8 +67,7 @@ class PairwiseMatrix(_ArrayRecord):
             if bad.flat[np.argmax(fault)]:
                 raise InvalidValue("comparisons must be finite and positive")
             raise InvalidValue("comparison matrix is not reciprocal")
-        if np.any(np.abs(np.diagonal(a) - 1.0) > _RECIPROCITY_TOL):
-            raise InvalidValue("diagonal comparisons must equal 1")
+        # No diagonal check: for v > 0, |v - 1| <= |v - 1| (v + 1) = |v v - 1|, tested above.
         self._keep("comparisons", a)
 
     @property
@@ -224,4 +224,4 @@ def parse_pairwise_csv(text: str) -> PairwiseMatrix:
             raise InvalidValue(
                 f"line {lineno}: pairwise entries must be decimal numbers"
             ) from None
-    return PairwiseMatrix(labels=tuple(labels), comparisons=tuple(grid))
+    return PairwiseMatrix(labels, grid)

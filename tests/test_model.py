@@ -9,6 +9,7 @@ import pytest
 from mcdm.errors import DimensionMismatch, DuplicateLabel, InvalidValue
 from mcdm.model import (
     Criterion,
+    DecisionMatrix,
     Direction,
     TopsisResult,
     TopsisRow,
@@ -235,3 +236,40 @@ def test_copies_stay_equal_and_read_only(copy_of, make):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
+
+
+# Each record that holds labels, built from a list that the caller then extends.
+LABELLED = {
+    "DecisionMatrix": lambda labels: DecisionMatrix(
+        labels, [Criterion("c1", B)], np.array([[1.0], [2.0]])
+    ),
+    "TopsisResult": lambda labels: TopsisResult(
+        labels, [0.1, 0.2], [0.2, 0.1], [2 / 3, 1 / 3], [1, 2]
+    ),
+    "PairwiseMatrix": lambda labels: PairwiseMatrix(labels, [[1.0, 2.0], [0.5, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("make", LABELLED.values(), ids=LABELLED.keys())
+def test_labels_given_as_a_list_are_kept_as_a_tuple(make):
+    labels = ["a", "b"]
+    record = make(labels)
+    labels.append("c")
+    kept = record.labels if isinstance(record, PairwiseMatrix) else record.alternatives
+    assert kept == ("a", "b")
+    assert hash(record) == hash(make(["a", "b"]))
+    twin = pickle.loads(pickle.dumps(record))
+    assert twin == record and hash(twin) == hash(record)
+
+
+def test_matrix_criteria_given_as_a_list_are_kept_as_a_tuple():
+    criteria = [Criterion("c1", B)]
+    matrix = DecisionMatrix(("a",), criteria, [[1.0]])
+    criteria.append(Criterion("c2", C))
+    assert matrix.criteria == (Criterion("c1", B),) and matrix.n == 1
+
+
+def test_weights_whose_sum_overflows_do_not_sum_to_1():
+    # Finite weights whose exact sum overflows, where math.fsum raises OverflowError.
+    with pytest.raises(InvalidValue, match="^weights must sum to 1$"):
+        WeightVector(weights=(1e308, 1e308), method="manual")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from mcdm.sensitivity import (
     LeaveOneOutReport,
     RemovalEffect,
     SensitivityReport,
+    _infeasible,
     _perturbed,
     _rejected_rows,
     leave_one_out,
@@ -197,12 +200,15 @@ class TestGridRowValidation:
         ],
     )
     def test_bad_rows_injected_into_the_grid(self, monkeypatch, first, second, message):
+        # Every delta is feasible here, so row at[i] holds criterion c's grid point i.
         def injected(weights, j, deltas):
-            rows, out_of_range, pinned = _perturbed(weights, j, deltas)
-            for i, value in ((3, first), (4, second)):
-                if value is not None:
-                    rows[i, 1 - j] = value
-            return rows, out_of_range, pinned
+            rows = _perturbed(weights, j, deltas)
+            for c in range(2):
+                at = np.flatnonzero(j == c)
+                for i, value in ((3, first), (4, second)):
+                    if value is not None:
+                        rows[at[i], 1 - c] = value
+            return rows
 
         monkeypatch.setattr(mcdm.sensitivity, "_perturbed", injected)
         with pytest.raises(InvalidValue, match=message):
@@ -240,10 +246,9 @@ class TestGridRowValidation:
         )
 
         def injected(weights, j, deltas):
-            rows, out_of_range, pinned = _perturbed(weights, j, deltas)
-            if j == bad:
-                rows[0, 1 - j] = -0.25
-            return rows, out_of_range, pinned
+            rows = _perturbed(weights, j, deltas)
+            rows[np.argmax(j == bad), 1 - bad] = -0.25
+            return rows
 
         monkeypatch.setattr(mcdm.sensitivity, "_perturbed", injected)
         with pytest.raises(error):
@@ -466,28 +471,34 @@ def _perturb_reference(w, j, delta):
 
 @st.composite
 def weight_grid(draw):
-    """Weights with signed zeros and pinned ones, a criterion and a grid of deltas."""
+    """Weights with signed zeros and pinned ones, and (criterion, delta) pairs in
+    any order: grid steps, and every criterion's edges of [0, 1] and zeros."""
     raw = draw(
         st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=5)
         .filter(any)
     )
     weights = w(*(v / sum(raw) for v in raw))
-    j = draw(st.integers(0, len(raw) - 1))
-    edges = [-weights.weights[j] - 5e-10, -weights.weights[j] - 2e-9]
-    edges += [1 - weights.weights[j] + 5e-10, 1 - weights.weights[j] + 2e-9, 0.0, -0.0]
-    steps = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=10))
-    return weights, j, [k * 0.05 for k in steps] + edges
+    steps = st.tuples(st.integers(0, len(raw) - 1), st.integers(-20, 20))
+    pairs = [(j, k * 0.05) for j, k in draw(st.lists(steps, min_size=1, max_size=10))]
+    for j, wj in enumerate(weights.weights):
+        pairs += [(j, d) for d in (-wj - 5e-10, -wj - 2e-9, 1 - wj + 5e-10, 1 - wj + 2e-9)]
+        pairs += [(j, 0.0), (j, -0.0)]
+    return weights, draw(st.permutations(pairs))
 
 
 class TestPerturbationGrid:
-    """One vectorized grid per criterion, row for row equal to scalar perturbation."""
+    """One vectorized grid over (criterion, delta) pairs, row for row equal to
+    scalar perturbation."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(weight_grid())
     def test_grid_matches_perturb_weights(self, case):
-        weights, j, deltas = case
-        rows, out_of_range, pinned = _perturbed(weights.to_array(), j, np.array(deltas))
-        for i, delta in enumerate(deltas):
+        weights, pairs = case
+        array = weights.to_array()
+        js, deltas = (np.array(column) for column in zip(*pairs))
+        out_of_range, pinned = _infeasible(array[js], deltas)
+        rows = _perturbed(array, js, deltas)
+        for i, (j, delta) in enumerate(pairs):
             want = _perturb_reference(list(weights.weights), j, delta)
             got = _outcome(lambda: perturb_weights(weights, j, delta))
             if want is OutOfRange:
@@ -552,8 +563,9 @@ class TestStackedLeaveOneOut:
 
 class TestChunkedGrid:
     """rank_stability ranks every criterion's grid in one _grid_ranks call, screened
-    in chunks of at most _GRID_CHUNK_ELEMENTS (k, m) outputs, with kernel calls of at
-    most _CHUNK_ELEMENTS (k, m, n) elements; one call per grid point is the reference."""
+    in chunks of at most _GRID_CHUNK_ELEMENTS (k, m) outputs and _CHUNK_ELEMENTS
+    (k, m, n) elements, with at most one kernel call per chunk; one call per grid
+    point is the reference."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(tie_prone(), st.integers(1, 60))
@@ -591,7 +603,22 @@ class TestChunkedGrid:
         assert rank_stability(matrix, equal_weights(4)) == whole
         assert len(passes) == 1 and sum(screened) == passes[0] == sum(kernel)
         assert len(screened) > matrix.n and max(screened) <= 30
-        assert len(kernel) > len(screened) and max(kernel) * matrix.n <= 60
+        # Every row is unsure, so each screened chunk goes whole to one kernel call.
+        assert kernel == screened and max(kernel) * matrix.n <= 60
+
+    def test_peak_memory_stays_near_the_grid_rows(self, rng):
+        # The (K, n) float64 weight rows are built once, only for feasible pairs:
+        # no per-criterion blocks and no concatenated copy of them.
+        matrix, weights = random_matrix(rng, m=9, n=128), equal_weights(128)
+        rank_stability(matrix, weights, 0.001, 0.05)  # first-call allocations
+        tracemalloc.start()
+        try:
+            report = rank_stability(matrix, weights, 0.001, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = sum(len(sweep.deltas) for sweep in report.criteria) * matrix.n * 8
+        assert rows > 7 << 20 and peak < 1.6 * rows
 
 
 class TestSweepErrors:
