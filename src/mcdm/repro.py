@@ -133,15 +133,21 @@ def all_configs() -> list[ReproConfig]:
 
 
 def _config_matrix(config: ReproConfig) -> DecisionMatrix:
+    return _oriented_fixture(config.orientation, config.row_subset)
+
+
+@cache
+def _oriented_fixture(orientation: Orientation, row_subset: RowSubset) -> DecisionMatrix:
+    """The bundled table in one orientation and row subset, built once per pair."""
     matrix = builtin_fixture()
-    if config.orientation is Orientation.AS_PRINTED:
+    if orientation is Orientation.AS_PRINTED:
         return matrix
+    if row_subset is RowSubset.ROWS_1_TO_5:
+        t = _oriented_fixture(orientation, RowSubset.ALL_ROWS)
+        return new_matrix(t.alternatives, t.criteria[:5], t.values[:, :5])
     # Direction labels do not obviously survive transposition; all rows are
     # satisfaction ratings, so transposed criteria are treated as benefit.
-    t = transpose(matrix, [Direction.BENEFIT] * matrix.m)
-    if config.row_subset is RowSubset.ROWS_1_TO_5:
-        return new_matrix(t.alternatives, t.criteria[:5], t.values[:, :5])
-    return t
+    return transpose(matrix, [Direction.BENEFIT] * matrix.m)
 
 
 def _config_weights(config: ReproConfig, matrix: DecisionMatrix):

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DegenerateAlternative,
     DegenerateBase,
+    DimensionMismatch,
     OutOfRange,
     TooFewAlternatives,
 )
@@ -22,7 +23,6 @@ from .model import WEIGHT_SUM_TOL, DecisionMatrix, WeightVector, _ArrayRecord, n
 from .topsis import (
     _CHUNK_ELEMENTS,
     _U,
-    _batch_topsis,
     _benefit_mask,
     _closeness,
     _grid_ranks,
@@ -150,9 +150,10 @@ def rank_stability(
 
     Infeasible deltas (weight pinned at 0/1, or leaving the simplex) are
     skipped; every evaluated grid point records the full rank permutation.
-    Every criterion's grid is ranked in one pass. Errors come in criterion
-    order: a grid row that is not a valid WeightVector raises its error once
-    the criteria before it are ranked, which may raise first.
+    The baseline and every criterion's grid are ranked in one pass. Errors
+    come in criterion order, after the baseline's: a grid row that is not a
+    valid WeightVector raises its error once the baseline and the criteria
+    before it are ranked, which may raise first.
     """
     if not 0 < step <= max_delta <= 1:
         raise OutOfRange("need 0 < step <= max_delta <= 1")
@@ -165,8 +166,8 @@ def rank_stability(
     unit = _unit_columns(matrix.values, matrix.criteria)
     benefit = _benefit_mask(matrix.directions)
     w = weights.to_array()
-    baseline = _batch_topsis(unit, w[None, :], benefit)[3][0]
-    base_top = int(np.argmin(baseline))
+    if len(w) != matrix.n:
+        raise DimensionMismatch("weight count does not match criterion count")
 
     # Criterion-major pairs; within a criterion, smallest magnitude first, + before -.
     magnitudes = np.arange(1, steps + 1) * step
@@ -175,13 +176,17 @@ def rank_stability(
     deltas = np.tile(grid, matrix.n)
     out_of_range, pinned = _infeasible(w[j], deltas)
     feasible = ~(out_of_range | pinned)
-    j, deltas = j[feasible], deltas[feasible]
+    # Row 0 is the baseline, ranked in the same pass: a placeholder pair whose
+    # criterion, -1, sorts first and names no criterion, and whose row becomes w.
+    j = np.concatenate([[-1], j[feasible]])
+    deltas = np.concatenate([[0.0], deltas[feasible]])
     deltas.flags.writeable = False
     rows = _perturbed(w, j, deltas)
+    rows[0] = w
     # Criterion c's rows are rows[bounds[c]:bounds[c + 1]].
     bounds = np.searchsorted(j, np.arange(matrix.n + 1)).tolist()
 
-    rejected = _rejected_rows(rows)
+    rejected = _rejected_rows(rows)  # never row 0, a valid WeightVector
     ranked = len(rows)
     if rejected.any():
         ranked = bounds[j[np.argmax(rejected)]]
@@ -189,25 +194,30 @@ def rank_stability(
     for row in rows[rejected].tolist():
         WeightVector(weights=tuple(row), method=weights.method)
     ranks.flags.writeable = False
+    baseline = ranks[0]
+    base_top = int(np.argmin(baseline))
 
     # Each rank row is a permutation, so rank 1 at base_top keeps the top.
     keeps_top = ranks[:, base_top] == 1
-    sweeps = []
-    for criterion, start, end in zip(matrix.criteria, bounds, bounds[1:]):
-        flips = np.abs(deltas[start:end][~keeps_top[start:end]])
-        sweeps.append(
-            CriterionSweep(
-                criterion=criterion.name,
-                flip_threshold=float(flips.min()) if len(flips) else None,
-                deltas=deltas[start:end],
-                ranks=ranks[start:end],
-            )
+    # Per criterion, the smallest |delta| that loses the top; inf if none does.
+    flips = np.append(np.where(keeps_top, np.inf, np.abs(deltas)), np.inf)
+    thresholds = np.where(np.diff(bounds) > 0, np.minimum.reduceat(flips, bounds[:-1]), np.inf)
+    sweeps = tuple(
+        CriterionSweep(
+            criterion=criterion.name,
+            flip_threshold=None if threshold == math.inf else threshold,
+            deltas=deltas[start:end],
+            ranks=ranks[start:end],
         )
+        for criterion, threshold, start, end in zip(
+            matrix.criteria, thresholds.tolist(), bounds, bounds[1:]
+        )
+    )
 
     return SensitivityReport(
-        criteria=tuple(sweeps),
+        criteria=sweeps,
         baseline_ranks=tuple(baseline.tolist()),
-        stability_score=int(keeps_top.sum()) / len(rows) if len(rows) else 1.0,
+        stability_score=(int(keeps_top.sum()) - 1) / (len(rows) - 1) if len(rows) > 1 else 1.0,
         step=step,
         max_delta=max_delta,
     )

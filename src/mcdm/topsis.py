@@ -4,9 +4,9 @@ Vector normalization is the only normalization offered; separations use the
 Euclidean metric. Ranks come from one stable sort of each closeness row, so
 ties go to the earlier index. Sensitivity grids need only ranks:
 ``_grid_ranks`` takes them from one matrix product per chunk of weight rows
-wherever a proven error bound shows they are the kernel's, ranking those rows
-from the one sort its screen already makes, and runs the kernel on the
-remaining, near-tied rows.
+wherever a proven error bound, one per row or else one per entry, shows they
+are the kernel's, ranking those rows from the one sort its screen already
+makes, and runs the kernel on the remaining, near-tied rows.
 """
 from __future__ import annotations
 
@@ -139,27 +139,89 @@ _CHUNK_ELEMENTS = 1 << 18
 _GRID_CHUNK_ELEMENTS = 1 << 13
 
 
-def _grid_terms(unit: np.ndarray, benefit: np.ndarray) -> np.ndarray:
-    """The weight-independent right-hand side of ``_grid_closeness``'s product.
+def _grid_terms(unit: np.ndarray, benefit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-independent left-hand sides of ``_grid_closeness``' products.
 
-    A C-contiguous (n, 4m) array of four (n, m) blocks: per criterion j and
-    alternative i, d^2 for the ideal, then for the anti-ideal, and
-    16 u |d| (u_ij + a_j) + 6 (n + 4) u d^2 + 64 u^2 for each, with
-    d = u_ij - a_j and a_j the unit column's ideal or anti-ideal value.
+    With d = u_ij - a_j, a_j the unit column's ideal or anti-ideal value, and
+    the error term E_ij = 16 u |d| (u_ij + a_j) + 6 (n + 4) u d^2 + 64 u^2:
+
+    - ``squares``, a C-contiguous (2m + 2, n) array: d^2 of every alternative
+      for the ideal, then for the anti-ideal, then each block's largest error
+      term max_i E_ij times 1 + 8 (n + 1) u;
+    - ``errors``, a C-contiguous (2m, n) array of the E_ij, ideal block first.
+
+    Weight rows go on the right, so a product has one column per weight row
+    and its reductions over alternatives run down contiguous rows.
     """
-    n = unit.shape[1]
+    m, n = unit.shape
     ideal, anti = _ideal(unit.max(axis=0), unit.min(axis=0), benefit)
-    columns = unit.T
-    points = np.stack([ideal, anti])[:, :, None]
-    diff = columns - points
+    points = np.stack([ideal, anti])[:, None, :]
+    diff = unit - points
     square = diff * diff
-    error = (16 * _U) * np.abs(diff) * (columns + points) + (6 * (n + 4) * _U) * square
+    error = (16 * _U) * np.abs(diff) * (unit + points) + (6 * (n + 4) * _U) * square
     error += 64 * _U * _U
-    terms = np.concatenate([square, error])
-    return np.ascontiguousarray(terms.transpose(1, 0, 2)).reshape(n, -1)
+    top = error.max(axis=1) * (1 + 8 * (n + 1) * _U)
+    return np.concatenate([square.reshape(2 * m, n), top]), error.reshape(2 * m, n)
 
 
-def _grid_closeness(terms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid_screen(
+    squares: np.ndarray, w2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Separations, closeness and one error bound per row of (k, n) squared weights.
+
+    Returns the (2m, k) product separations, S+ then S-, the (m, k) closeness
+    s- / max(s+ + s-, tiny) and a (k,) bound that is at least every entry's
+    eps in ``_grid_closeness``, all from one product with ``squares``.
+
+    The product's last two rows are E+ and E-, the squared weights times
+    each block's largest error term, so in exact arithmetic E+ is at least
+    every alternative's eta+ and E- every eta-. Computed, in any summation
+    order, E+ is at least (1 - gamma_(n+1)) times its exact value with the
+    factor 1 + 8 (n + 1) u on the largest terms, and each eta+ at most
+    1 + gamma_n times its own; so E+ exceeds every computed eta+ by a factor
+    above 1 + 13u, more than the 9u that one square root and one division on
+    each side lose below; likewise E-. With S+_min and S-_min the smallest
+    separations, D+ = E+ / max(S+_min, sqrt(E+)) is then at least every
+    delta+, and likewise D-. So with room = min_i T_i - D+ - D- > 0, every
+    eps is at most (D+ + 2 D-) / room + 4u: each step is the per-entry
+    formula on values no smaller (numerators) or no larger (denominators),
+    and correctly rounded arithmetic is monotone. The bound is infinite
+    where room <= 0.
+    """
+    m = len(squares) // 2 - 1
+    product = squares @ w2.T
+    s = np.sqrt(product[: 2 * m], out=product[: 2 * m])
+    s_plus, s_minus = s[:m], s[m:]
+    total = s_plus + s_minus
+    lowest = total.min(axis=0)
+    c = s_minus / np.maximum(total, _TINY, out=total)  # 0 where total is 0
+    top = product[2 * m :]
+    d = top / np.maximum(s.reshape(2, m, -1).min(axis=1), np.sqrt(top))
+    spread = d[0] + d[1]
+    room = lowest - spread
+    bound = np.divide(spread + d[1], room, out=np.full_like(room, np.inf), where=room > 0)
+    bound += 4 * _U
+    return s, c, bound
+
+
+def _entry_bound(errors: np.ndarray, w2: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The (m, k) per-entry eps of ``_grid_closeness`` for (k, n) squared weights
+    and their (2m, k) separations from ``_grid_screen``."""
+    m = len(errors) // 2
+    eta = errors @ w2.T
+    delta = np.sqrt(eta)
+    np.divide(eta, np.maximum(s, delta, out=delta), out=delta)
+    d_plus, d_minus = delta[:m], delta[m:]
+    spread = d_plus + d_minus
+    room = s[:m] + s[m:] - spread
+    eps = np.divide(spread + d_minus, room, out=np.full_like(room, np.inf), where=room > 0)
+    eps += 4 * _U
+    return eps
+
+
+def _grid_closeness(
+    terms: tuple[np.ndarray, np.ndarray], weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Closeness of (k, n) weight rows, each summing to 1, by one matrix
     product with the unit columns' ``_grid_terms``, and a bound eps on its
     distance from the kernel's closeness, each (k, m).
@@ -179,14 +241,14 @@ def _grid_closeness(terms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     square of that within 2 D e + e^2 + u (D + e)^2 <= 6 u D P + 5 u^2 P^2 of
     t_j; its sum adds gamma_(n-1) S^2. As P^2 <= 4 w^2, the two computed
     values of S^2 differ by at most half of the per-entry
-        eta = sum_j w_j^2 (16 u |u_ij - a_j| (u_ij + a_j) + 6 (n + 4) u (u_ij - a_j)^2
-                           + 64 u^2),
-    taken from the same product; the factor 2 also covers the rounding of
-    eta. The last term also covers underflow: the largest weight is at least
-    1 / n, so it adds at least 64 u^2 / n^2, far above n times the 2^-1074
-    that each underflowing operation may lose. Each term's share is small
-    where the alternative is close to the ideal, however large the column's
-    values.
+        eta = sum_j w_j^2 E_ij,
+        E_ij = 16 u |u_ij - a_j| (u_ij + a_j) + 6 (n + 4) u (u_ij - a_j)^2 + 64 u^2,
+    taken from a second product, with ``_grid_terms``' error block; the factor 2
+    also covers the rounding of eta. The last term also covers underflow: the
+    largest weight is at least 1 / n, so it adds at least 64 u^2 / n^2, far
+    above n times the 2^-1074 that each underflowing operation may lose. Each
+    term's share is small where the alternative is close to the ideal, however
+    large the column's values.
     As |sqrt(a) - sqrt(b)| is at most sqrt(|a - b|) and at most
     |a - b| / sqrt(a), each separation then differs by at most
     delta = min(sqrt(eta), eta / S); the slack of eta's second term over
@@ -194,59 +256,97 @@ def _grid_closeness(terms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     most u S each. Moving S+ and S- by at most delta+ and delta- moves
     s- / (s+ + s-) by at most (delta+ + 2 delta-) / (T - delta+ - delta-),
     with T = S+ + S-; 4u adds the rounding of both closeness divisions. eps
-    is infinite, and the closeness 0, where T <= delta+ + delta-, where the
-    kernel's closeness may be undefined.
+    is infinite where T <= delta+ + delta-, where the kernel's closeness may
+    be undefined.
+
+    ``_grid_screen`` derives one cheaper bound per row from the same product;
+    ``_grid_ranks`` computes these per-entry bounds only for the rows it
+    cannot clear.
     """
-    m = terms.shape[1] // 4
-    product = (weights * weights) @ terms
-    # In place: a chunk's (k, 2m) temporaries are the largest arrays of a sweep.
-    s = np.sqrt(product[:, : 2 * m], out=product[:, : 2 * m])
-    eta = product[:, 2 * m :]
-    delta = np.sqrt(eta)
-    np.divide(eta, np.maximum(s, delta, out=delta), out=delta)
-    s_plus, s_minus = s[:, :m], s[:, m:]
-    d_plus, d_minus = delta[:, :m], delta[:, m:]
-    total = s_plus + s_minus
-    spread = d_plus + d_minus
-    room = total - spread
-    bounded = room > 0  # and so total > 0: the closeness is defined
-    eps = np.divide(spread + d_minus, room, out=np.full_like(room, np.inf), where=bounded)
-    eps += 4 * _U
-    return np.divide(s_minus, total, out=np.zeros_like(total), where=bounded), eps
+    squares, errors = terms
+    w2 = weights * weights
+    s, c, _ = _grid_screen(squares, w2)
+    return c.T, _entry_bound(errors, w2, s).T
+
+
+def _identical_rows(
+    unit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Groups of equal rows of ``unit``, or None when all rows differ.
+
+    Returns the first row of each group, each row's group, each row's place
+    among its group's rows in input order and each group's size. Rows group
+    by value, -0.0 with 0.0, because the kernel gives such rows the same
+    separations: a zero's sign is squared away.
+    """
+    column = np.sort(unit[:, 0])
+    if not (column[1:] == column[:-1]).any():  # equal rows share their first entry
+        return None
+    rows = np.ascontiguousarray(unit + 0.0)  # -0.0 + 0.0 is 0.0: equal rows, equal bytes
+    keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) == len(unit):
+        return None
+    size = np.bincount(group)
+    members = np.argsort(group, kind="stable")  # by group, then input order
+    within = np.empty_like(group)
+    within[members] = np.arange(len(unit)) - (np.cumsum(size) - size)[group[members]]
+    return first, group, within, size
 
 
 def _grid_ranks(unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray) -> np.ndarray:
     """``_batch_topsis(unit, weights, benefit)[3]``, with the kernel run only on near-ties.
 
-    A filter with an exact fallback, as in Shewchuk's adaptive predicates: a
-    row whose product closeness values (``_grid_closeness``) are all more than
-    twice the row's largest eps apart has the kernel's strict order, so it is
-    ranked from them. Its keys are all distinct, so numpy's default (unstable)
-    sort, which the screen reads its gaps from, gives that order. Every other
-    row, including any whose closeness the kernel leaves undefined, is ranked
-    by the kernel, which raises as usual. The weight-independent terms are
-    computed once. Rows are screened in chunks of at most ``_GRID_CHUNK_ELEMENTS``
-    (k, m) outputs and ``_CHUNK_ELEMENTS`` (k, m, n) elements, so each chunk's
-    unsure rows go to the kernel in one call.
+    A filter with an exact fallback, as in Shewchuk's adaptive predicates:
+    cheapest filter first, the tighter one next, exact evaluation last. A row
+    whose sorted product closeness values (``_grid_screen``) are all more than
+    twice its row bound apart has the kernel's strict order, so it is ranked
+    from them; its keys are all distinct, so numpy's default (unstable) sort
+    gives that order. A row the row bound cannot clear is screened again with
+    the per-entry bounds of ``_grid_closeness``, twice its largest eps, and a
+    row neither clears, including any whose closeness the kernel leaves
+    undefined, is ranked by the kernel, which raises as usual.
+
+    Equal rows of ``unit`` get equal closeness from the kernel under every
+    weight row, so it ranks them consecutively in input order: only one row
+    of each group is screened, and its group's rows take consecutive ranks.
+    A weight row that is not cleared is still ranked by the kernel on all of
+    ``unit``. The weight-independent
+    terms are computed once. Rows are screened in chunks of at most
+    ``_GRID_CHUNK_ELEMENTS`` (k, m) outputs and ``_CHUNK_ELEMENTS`` (k, m, n)
+    elements, so each chunk's unsure rows go to the kernel in one call.
     """
-    terms = _grid_terms(unit, benefit)
+    groups = _identical_rows(unit)
+    squares, errors = _grid_terms(unit if groups is None else unit[groups[0]], benefit)
     ranks = np.empty((len(weights), len(unit)), dtype=np.intp)
     chunk = max(1, min(_GRID_CHUNK_ELEMENTS // len(unit), _CHUNK_ELEMENTS // unit.size))
     for start in range(0, len(weights), chunk):
         rows = weights[start : start + chunk]
-        c, eps = _grid_closeness(terms, rows)
-        bound = 2 * eps.max(axis=1, keepdims=True)
-        keys = -c
-        order = np.argsort(keys, axis=1)
-        ordered = np.take_along_axis(keys, order, axis=1)
-        gaps = ordered[:, 1:] - ordered[:, :-1] > bound
-        sure = gaps.all(axis=1) & np.isfinite(bound[:, 0])
+        w2 = rows * rows
+        s, c, bound = _grid_screen(squares, w2)
+        order = np.argsort(c.T, axis=1)[:, ::-1]
+        gap = np.diff(np.sort(c, axis=0), axis=0).min(axis=0, initial=np.inf)
+        unsure = np.flatnonzero(~(gap > 2 * bound))
+        if len(unsure):
+            eps = _entry_bound(errors, w2[unsure], s[:, unsure])
+            unsure = unsure[~(gap[unsure] > 2 * eps.max(axis=0))]
         out = ranks[start : start + chunk]
-        out[:] = _ranks_from(order)
-        unsure = np.flatnonzero(~sure)
+        out[:] = _ranks_from(order) if groups is None else _expanded(order, *groups[1:])
         if len(unsure):
             out[unsure] = _batch_topsis(unit, rows[unsure], benefit)[3]
     return ranks
+
+
+def _expanded(
+    order: np.ndarray, group: np.ndarray, within: np.ndarray, size: np.ndarray
+) -> np.ndarray:
+    """Ranks of all alternatives from ``order``, each weight row's groups best
+    first (see ``_identical_rows``): a group's alternatives take consecutive
+    ranks in input order."""
+    sizes = size[order]
+    ahead = np.empty_like(sizes)
+    ahead[np.arange(len(order))[:, None], order] = np.cumsum(sizes, axis=1) - sizes
+    return ahead[:, group] + within + 1
 
 
 def _benefit_mask(directions: Sequence[Direction]) -> np.ndarray:

@@ -254,6 +254,22 @@ class TestGridRowValidation:
         with pytest.raises(error):
             rank_stability(m, w(0.9, 0.1), step=0.05, max_delta=0.1)
 
+    def test_a_degenerate_baseline_raises_before_a_bad_row(self, monkeypatch):
+        # All weight on the constant c1 leaves both alternatives undefined; the
+        # baseline is ranked with the grid, but still before any row is rejected.
+        m = new_matrix(
+            ["a", "b"], [Criterion("c1", B), Criterion("c2", B)], [[1.0, 2.0], [1.0, 3.0]]
+        )
+
+        def injected(weights, j, deltas):
+            rows = _perturbed(weights, j, deltas)
+            rows[j == 1, 0] = -0.25
+            return rows
+
+        monkeypatch.setattr(mcdm.sensitivity, "_perturbed", injected)
+        with pytest.raises(DegenerateAlternative):
+            rank_stability(m, w(1.0, 0.0), step=0.05, max_delta=0.1)
+
 
 class TestColumnarSweep:
     """A CriterionSweep keeps its grid as read-only arrays."""
@@ -579,8 +595,10 @@ class TestChunkedGrid:
 
     def test_kernel_calls_stay_within_budget(self, monkeypatch, rng):
         matrix = random_matrix(rng, m=6, n=4)
-        matrix = new_matrix(  # a repeated alternative sends every row to the kernel
-            matrix.alternatives + ("copy",), matrix.criteria, [*matrix.values, matrix.values[0]]
+        near = matrix.values[0].copy()
+        near[0] = np.nextafter(near[0], np.inf)
+        matrix = new_matrix(  # a one-ulp near-duplicate sends every row to the kernel
+            matrix.alternatives + ("near",), matrix.criteria, [*matrix.values, near]
         )
         whole = rank_stability(matrix, equal_weights(4))
         passes, screened, kernel = [], [], []
@@ -596,7 +614,7 @@ class TestChunkedGrid:
         monkeypatch.setattr(mcdm.topsis, "_CHUNK_ELEMENTS", 60)
         for module, name, calls in (
             (mcdm.sensitivity, "_grid_ranks", passes),
-            (mcdm.topsis, "_grid_closeness", screened),
+            (mcdm.topsis, "_grid_screen", screened),
             (mcdm.topsis, "_batch_topsis", kernel),
         ):
             monkeypatch.setattr(module, name, recording(calls, getattr(module, name)))
@@ -605,6 +623,31 @@ class TestChunkedGrid:
         assert len(screened) > matrix.n and max(screened) <= 30
         # Every row is unsure, so each screened chunk goes whole to one kernel call.
         assert kernel == screened and max(kernel) * matrix.n <= 60
+
+    def test_benchmark_shaped_grid_clears_every_row_with_the_row_bound(self, monkeypatch):
+        # Ratings like the benchmark's 200x10 sweep matrix: none of its grid
+        # rows is near a tie, so none needs the per-entry bound or the kernel.
+        rng = np.random.default_rng(200)
+        directions = rng.permutation([B, C] + [B if b else C for b in rng.uniform(0, 1, 8) < 0.5])
+        matrix = new_matrix(
+            [f"a{i}" for i in range(200)],
+            [Criterion(f"c{j}", d) for j, d in enumerate(directions)],
+            np.round(rng.uniform(0.5, 100.0, (200, 10)), 4),
+        )
+        entry, kernel = [], []
+
+        def recording(calls, real):
+            def call(*args):
+                calls.append(len(args[1]))
+                return real(*args)
+
+            return call
+
+        for name, calls in (("_entry_bound", entry), ("_batch_topsis", kernel)):
+            monkeypatch.setattr(mcdm.topsis, name, recording(calls, getattr(mcdm.topsis, name)))
+        report = rank_stability(matrix, equal_weights(10))
+        assert sum(len(sweep.deltas) for sweep in report.criteria) > 300
+        assert sum(entry) == sum(kernel) == 0
 
     def test_peak_memory_stays_near_the_grid_rows(self, rng):
         # The (K, n) float64 weight rows are built once, only for feasible pairs:

@@ -13,6 +13,7 @@ from mcdm.topsis import (
     _batch_topsis,
     _grid_closeness,
     _grid_ranks,
+    _grid_screen,
     _grid_terms,
     _ranks,
     _unit_columns,
@@ -432,7 +433,8 @@ def test_scale_invariance(rng):
 
 
 SCREEN_KINDS = (
-    "random", "scaled", "tie-prone", "near-duplicate", "clustered", "far-clustered", "tiny-weight"
+    "random", "scaled", "tie-prone", "near-duplicate", "duplicate", "clustered", "far-clustered",
+    "tiny-weight",
 )
 
 
@@ -441,8 +443,9 @@ def screen_case(draw):
     """Unit columns, weight rows and directions for _grid_ranks.
 
     Columns are random, scaled by 1e-150 to 1e150, tie-prone integers 0-3,
-    random with one row a duplicate of another but one ulp away, clustered
-    like Likert means (3 to 3.5, so separations are small and rounding shows)
+    random with one row a duplicate of another but one ulp away, integers
+    0-2 with rows repeated and zeros of either sign, clustered like Likert
+    means (3 to 3.5, so separations are small and rounding shows)
     or clustered far from zero (1000 to 1000.001, so separations are tiny
     against the values); weight rows hold zeros, and 1e-200 entries in the
     tiny-weight kind.
@@ -459,6 +462,10 @@ def screen_case(draw):
         j = rng.integers(n)
         x[0] = x[m - 1]
         x[0, j] = np.nextafter(x[0, j], np.inf)
+    elif kind == "duplicate":
+        x = rng.integers(0, 3, (m, n)).astype(float)
+        x[rng.integers(1, m, m // 2 + 1)] = x[0]
+        x[(x == 0) & (rng.uniform(0, 1, (m, n)) < 0.5)] = -0.0
     elif kind == "clustered":
         x = rng.uniform(3, 3.5, (m, n))
     elif kind == "far-clustered":
@@ -501,6 +508,27 @@ def test_grid_closeness_is_within_its_bound_of_the_kernel(case):
         assert (np.abs(c[i] - kernel) <= eps[i]).all()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(screen_case())
+def test_row_bound_covers_every_entry_and_the_kernel(case):
+    # The cheap screen's one bound per weight row is never below that row's
+    # per-entry bounds, so it clears no row they would not, and it holds the
+    # kernel's closeness on its own.
+    unit, w, benefit = case
+    terms = _grid_terms(unit, benefit)
+    _, c, bound = _grid_screen(terms[0], w * w)
+    eps = _grid_closeness(terms, w)[1]
+    finite = np.isfinite(bound)
+    assert (bound[finite] >= eps[finite].max(axis=1)).all()
+    for i in range(len(w)):
+        try:
+            kernel = _batch_topsis(unit, w[i : i + 1], benefit)[2][0]
+        except DegenerateAlternative:
+            assert np.isinf(bound[i])
+            continue
+        assert (np.abs(c[:, i] - kernel) <= bound[i]).all()
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(screen_case())
 def test_grid_ranks_equal_the_kernel(case):
@@ -535,11 +563,12 @@ def test_near_ties_and_only_near_ties_reach_the_kernel(case, data):
     # A kernel gap above 4 eps leaves a product gap above 2 eps.
     clear = (np.diff(np.sort(c, axis=1), axis=1) > 4 * eps.max(axis=1, keepdims=True)).all(axis=1)
     assert not set(map(tuple, w[clear].tolist())) & set(reached)
-    # With one alternative repeated, every row has a tie.
+    # A repeated alternative ties exactly in every row, but no row reaches the
+    # kernel only because of it.
     repeated = np.insert(unit, data.draw(st.integers(0, len(unit))), unit[0], axis=0)
     with pytest.MonkeyPatch.context() as patch:
-        ranks, reached = _rows_reaching_kernel(patch, repeated, w, benefit)
-    assert sorted(reached) == sorted(map(tuple, w.tolist()))
+        ranks, reached_repeated = _rows_reaching_kernel(patch, repeated, w, benefit)
+    assert set(reached_repeated) <= set(reached)
     assert np.array_equal(ranks, _batch_topsis(repeated, w, benefit)[3])
 
 
@@ -549,6 +578,18 @@ def test_grid_ranks_send_only_the_tied_row_to_the_kernel(monkeypatch):
     benefit = np.array([True, True])
     ranks, reached = _rows_reaching_kernel(monkeypatch, unit, w, benefit)
     assert reached == [(0.5, 0.5)]  # equal weights tie the mirror images "a" and "c"
+    assert np.array_equal(ranks, _batch_topsis(unit, w, benefit)[3])
+
+
+def test_grid_ranks_screen_rows_equal_but_for_zero_signs_once(monkeypatch):
+    # Rows a and c differ only in the sign of a zero, which the kernel squares
+    # away: they tie in every row, a first, and need no kernel call.
+    x = np.array([[0.0, 2.0, 1.0], [3.0, 1.0, 2.0], [-0.0, 2.0, 1.0], [1.0, 0.0, -0.0]])
+    unit = _unit_columns(x, [Criterion("c", B)] * 3)
+    w = np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2], [0.1, 0.8, 0.1]])
+    benefit = np.array([True, False, True])
+    ranks, reached = _rows_reaching_kernel(monkeypatch, unit, w, benefit)
+    assert reached == []
     assert np.array_equal(ranks, _batch_topsis(unit, w, benefit)[3])
 
 
