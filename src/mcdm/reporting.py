@@ -7,7 +7,10 @@ uses LF line endings regardless of platform.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any, Iterator
+
+import numpy as np
 
 from .model import TopsisResult, WeightVector
 from .sensitivity import LeaveOneOutReport, SensitivityReport
@@ -105,8 +108,74 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"no JSON schema for {type(obj).__name__}")
 
 
+_dump = partial(json.dumps, separators=(",", ":"))
+
+
+def _json_numbers(values: list[float]) -> list[str]:
+    """Each number of ``values`` as ``json.dumps`` writes it, from one call."""
+    text = json.dumps(values)[1:-1]
+    return text.split(", ") if text else []
+
+
+def _rank_lines(ranks: np.ndarray) -> list[str] | None:
+    """The inside of each (k, m) rank row's JSON list, or None unless every
+    rank lies in 0..m.
+
+    Every row is rendered in one gather from a table of 2 (m + 1) ASCII
+    cells, "v," for each v in 0..m and then "v\n" for each, NUL-padded to
+    one width: a row's last cell comes from the second half. The NULs are
+    then deleted and the text split on its line ends.
+    """
+    k, m = ranks.shape
+    if ranks.size == 0:
+        return [""] * k
+    if ranks.min() < 0 or ranks.max() > m:
+        return None
+    cells = [f"{v}{end}" for end in ",\n" for v in range(m + 1)]
+    table = np.array(cells, dtype=f"S{len(str(m)) + 1}")
+    index = ranks.copy()
+    index[:, -1] += m + 1
+    return table[index].tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def _sensitivity_json(report: SensitivityReport) -> str | None:
+    """``export_json(report)`` written directly, or None for a hand-built sweep
+    the writer does not take: ranks not 2-D, or of unequal widths, or not one
+    row per delta, or outside 0..m. Every scalar and name is written by
+    ``json``, so non-finite floats and escapes come out as the encoder's."""
+    sweeps = report.criteria
+    if not all(s.ranks.ndim == 2 and s.deltas.shape == s.ranks.shape[:1] for s in sweeps):
+        return None
+    if len({s.ranks.shape[1] for s in sweeps}) > 1:
+        return None
+    lines = _rank_lines(np.concatenate([s.ranks for s in sweeps])) if sweeps else []
+    if lines is None:
+        return None
+    deltas = _json_numbers([d for s in sweeps for d in s.deltas.tolist()])
+    criteria, start = [], 0
+    for s in sweeps:
+        end = start + len(s.deltas)
+        grid = ",".join(
+            f'{{"delta":{d},"ranks":[{r}]}}' for d, r in zip(deltas[start:end], lines[start:end])
+        )
+        criteria.append(
+            f'{{"criterion":{_dump(s.criterion)},"flip_threshold":{_dump(s.flip_threshold)},'
+            f'"grid":[{grid}]}}'
+        )
+        start = end
+    return (
+        f'{{"baseline_ranks":{_dump(list(report.baseline_ranks))},'
+        f'"criteria":[{",".join(criteria)}],"max_delta":{_dump(report.max_delta)},'
+        f'"stability_score":{_dump(report.stability_score)},"step":{_dump(report.step)}}}\n'
+    )
+
+
 def export_json(obj: Any) -> str:
     """Canonical JSON: sorted keys, shortest-round-trip floats, LF-terminated."""
+    if isinstance(obj, SensitivityReport):
+        text = _sensitivity_json(obj)
+        if text is not None:
+            return text
     if not isinstance(obj, (dict, list)):
         obj = to_jsonable(obj)
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

@@ -16,11 +16,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .errors import McdmError
 from .ingest import parse_matrix_csv
 from .model import DecisionMatrix, Direction, TopsisResult, new_matrix, transpose
 from .reporting import parse_topsis_json
-from .topsis import closeness, rank, topsis_rank
+from .topsis import _batch_topsis, _benefit_mask, _unit_columns, closeness, rank, topsis_rank
 from .weighting import Basis, entropy_weights, equal_weights, std_dev_weights
 
 
@@ -177,6 +179,41 @@ def _kendall_tau(a: list[int], b: list[int]) -> float:
     return score / (n * (n - 1) / 2)
 
 
+def _failed(config: ReproConfig, exc: McdmError) -> ConfigReport:
+    return ConfigReport(config, "failed", str(exc), None, None, None, None, None)
+
+
+def _fit(
+    configs: list[ReproConfig], alternatives: tuple[str, ...], c: np.ndarray, ranks: np.ndarray
+) -> list[ConfigReport]:
+    """How closely each configuration's row of the (k, m) closeness and rank
+    arrays fits the published table (see ``reproduce``). The configurations
+    share one orientation."""
+    expected = builtin_expected()
+    # got[k] is the computed row compared with published row k.
+    if configs[0].orientation is Orientation.TRANSPOSED:
+        position = {label: i for i, label in enumerate(alternatives)}
+        got = [position[label] for label in expected.alternatives]
+    else:
+        got = list(range(len(alternatives)))
+
+    want_ranks = expected.rank[: len(got)].tolist()
+    deltas = abs(c[:, got] - expected.closeness[: len(got)]).tolist()
+    return [
+        ConfigReport(
+            config=config,
+            status="ok",
+            failure_reason=None,
+            rows_compared=len(got),
+            max_abs_ci_delta=max(d),
+            mean_abs_ci_delta=sum(d) / len(d),
+            exact_rank_matches=sum(g == w for g, w in zip(got_ranks, want_ranks)),
+            kendall_tau=_kendall_tau(got_ranks, want_ranks),
+        )
+        for config, d, got_ranks in zip(configs, deltas, ranks[:, got].tolist())
+    ]
+
+
 def reproduce(config: ReproConfig) -> ConfigReport:
     """Run one configuration and measure its fit against the published table.
 
@@ -186,35 +223,42 @@ def reproduce(config: ReproConfig) -> ConfigReport:
     (the published table appears to list the 9 computed alternatives under
     the first 9 parameter labels).
     """
-    expected = builtin_expected()
     try:
         matrix = _config_matrix(config)
         weights = _config_weights(config, matrix)
         result = topsis_rank(matrix, weights)
     except McdmError as exc:
-        return ConfigReport(config, "failed", str(exc), None, None, None, None, None)
+        return _failed(config, exc)
+    return _fit([config], result.alternatives, result.closeness[None], result.rank[None])[0]
 
-    # got[k] is the computed row compared with published row k.
-    if config.orientation is Orientation.TRANSPOSED:
-        position = {label: i for i, label in enumerate(result.alternatives)}
-        got = [position[label] for label in expected.alternatives]
-    else:
-        got = list(range(len(result)))
 
-    deltas = abs(result.closeness[got] - expected.closeness[: len(got)]).tolist()
-    got_ranks, want_ranks = result.rank[got].tolist(), expected.rank[: len(got)].tolist()
-    matches = sum(g == w for g, w in zip(got_ranks, want_ranks))
-    tau = _kendall_tau(got_ranks, want_ranks)
-    return ConfigReport(
-        config=config,
-        status="ok",
-        failure_reason=None,
-        rows_compared=len(got),
-        max_abs_ci_delta=max(deltas),
-        mean_abs_ci_delta=sum(deltas) / len(deltas),
-        exact_rank_matches=matches,
-        kendall_tau=tau,
-    )
+def _reproduce_group(configs: list[ReproConfig]) -> list[ConfigReport]:
+    """``reproduce`` of each of ``configs``, which share one matrix, with all
+    their weight rows ranked in one kernel call.
+
+    A configuration whose weights raise keeps its own failed row. If the
+    shared matrix or the kernel call raises, each configuration is
+    reproduced alone, so the rows are always ``reproduce``'s.
+    """
+    reports: list[ConfigReport | None] = [None] * len(configs)
+    try:
+        matrix = _config_matrix(configs[0])
+        rows = {}
+        for i, config in enumerate(configs):
+            try:
+                rows[i] = _config_weights(config, matrix).to_array()
+            except McdmError as exc:
+                reports[i] = _failed(config, exc)
+        if rows:
+            unit = _unit_columns(matrix.values, matrix.criteria)
+            benefit = _benefit_mask(matrix.directions)
+            _, _, c, ranks = _batch_topsis(unit, np.stack(list(rows.values())), benefit)
+            fits = _fit([configs[i] for i in rows], matrix.alternatives, c, ranks)
+            for i, report in zip(rows, fits):
+                reports[i] = report
+    except McdmError:
+        return [reproduce(config) for config in configs]
+    return reports
 
 
 def internal_consistency_deltas() -> list[float]:
@@ -237,7 +281,15 @@ def run_sweep() -> ReproReport:
     Ties break by higher Kendall tau, then enumeration order. Failed
     configurations stay in the report as first-class rows.
     """
-    entries = tuple(reproduce(c) for c in all_configs())
+    configs = all_configs()
+    # Configurations of one orientation and row subset share a matrix.
+    groups: dict[tuple[Orientation, RowSubset], list[ReproConfig]] = {}
+    for config in configs:
+        groups.setdefault((config.orientation, config.row_subset), []).append(config)
+    reports = {}
+    for group in groups.values():
+        reports.update(zip(group, _reproduce_group(group)))
+    entries = tuple(reports[config] for config in configs)
     ok = (e for e in entries if e.status == "ok")
     # min keeps the first of equal keys: enumeration order.
     best = min(ok, key=lambda e: (e.mean_abs_ci_delta, -e.kendall_tau), default=None)

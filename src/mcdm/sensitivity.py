@@ -223,6 +223,23 @@ def rank_stability(
     )
 
 
+def _flips(base: np.ndarray, ranks: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair masks of (c, s) rank rows ``base`` and ``ranks``, whose ranks lie in 1..m.
+
+    Returns two (c, s, s) masks: of the pairs (a, b) that ``base`` ranks a
+    ahead of b, and of the pairs a < b whose order ``ranks`` reverses. The
+    ranks are compared as the narrowest unsigned ints that hold m, so each
+    mask is built from fewer bytes.
+    """
+    narrow = np.min_scalar_type(m)
+    base, ranks = base.astype(narrow), ranks.astype(narrow)
+    s = base.shape[1]
+    before = base[:, :, None] < base[:, None, :]
+    flipped = before != (ranks[:, :, None] < ranks[:, None, :])
+    flipped &= np.arange(s)[:, None] < np.arange(s)
+    return before, flipped
+
+
 def _removal_effects(
     matrix: DecisionMatrix,
     baseline: np.ndarray,
@@ -241,12 +258,7 @@ def _removal_effects(
     unit = _unit_columns(matrix.values[survivors], matrix.criteria)
     c, undefined = _closeness(*_separations(unit, w, benefit))
     degenerate = undefined.any(axis=1)
-    ranks = _ranks(c)
-    # Survivor pairs, earlier input index first, whose relative order flipped.
-    base = baseline[survivors]
-    before = base[:, :, None] < base[:, None, :]
-    flipped = before != (ranks[:, :, None] < ranks[:, None, :])
-    flipped &= np.arange(m - 1)[:, None] < np.arange(m - 1)
+    before, flipped = _flips(baseline[survivors], _ranks(c), m)
     flipped[degenerate] = False  # closeness is undefined there: no pairs to report
     slot, a, b = np.unravel_index(np.flatnonzero(flipped), flipped.shape)
     ahead = np.where(before[slot, a, b], survivors[slot, a], survivors[slot, b])

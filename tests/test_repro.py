@@ -2,13 +2,17 @@ import json
 
 import pytest
 
+import mcdm.repro
+from mcdm.errors import DegenerateAlternative, InvalidValue
 from mcdm.ingest import serialize_matrix_csv
 from mcdm.model import Direction
 from mcdm.repro import (
+    ConfigReport,
     Orientation,
     ReproConfig,
     RowSubset,
     WeightMethod,
+    _config_matrix,
     _kendall_tau,
     all_configs,
     builtin_expected,
@@ -214,3 +218,58 @@ def test_render_and_json():
     payload = json.loads(export_json(report))
     assert payload["best_config"] == "as_printed/std_dev_normalized/all_rows"
     assert len(payload["configs"]) == 12
+
+
+class TestBatchedSweep:
+    """run_sweep ranks each matrix's configurations in one kernel call, and its
+    rows stay reproduce's, failed rows included."""
+
+    def test_equals_reproduce(self):
+        assert run_sweep().entries == tuple(reproduce(c) for c in all_configs())
+
+    def test_failed_weights_keep_their_own_row(self, monkeypatch):
+        before = run_sweep().entries
+        bad = ReproConfig(Orientation.TRANSPOSED, WeightMethod.ENTROPY, RowSubset.ALL_ROWS)
+        weights = mcdm.repro._config_weights
+
+        def failing(config, matrix):
+            if config == bad:
+                raise InvalidValue("weights must be finite and nonnegative")
+            return weights(config, matrix)
+
+        monkeypatch.setattr(mcdm.repro, "_config_weights", failing)
+        after = run_sweep().entries
+        assert after == tuple(reproduce(c) for c in all_configs())
+        for old, new in zip(before, after):
+            if new.config == bad:
+                assert new == ConfigReport(
+                    bad, "failed", "weights must be finite and nonnegative", *[None] * 5
+                )
+            else:
+                assert new == old and new.status == "ok"
+
+    def test_group_whose_kernel_call_raises_is_reproduced_alone(self, monkeypatch):
+        shared = _config_matrix(all_configs()[4])
+        bad = all_configs()[5]
+        assert _config_matrix(bad) is shared
+        kernel, weights = mcdm.repro._batch_topsis, mcdm.repro._config_weights
+        calls = []
+
+        def raising(unit, rows, benefit):
+            calls.append(unit.shape)
+            if unit.shape == shared.values.shape:
+                raise DegenerateAlternative("closeness undefined when both separations are zero")
+            return kernel(unit, rows, benefit)
+
+        def failing(config, matrix):
+            if config == bad:
+                raise InvalidValue("weights must be finite and nonnegative")
+            return weights(config, matrix)
+
+        monkeypatch.setattr(mcdm.repro, "_batch_topsis", raising)
+        monkeypatch.setattr(mcdm.repro, "_config_weights", failing)
+        entries = run_sweep().entries
+        assert len(calls) == 3
+        assert entries == tuple(reproduce(c) for c in all_configs())
+        assert [e.status for e in entries].count("failed") == 1
+        assert entries[5].status == "failed" and entries[5].config == bad

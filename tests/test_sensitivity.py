@@ -1,4 +1,6 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -575,6 +577,74 @@ class TestStackedLeaveOneOut:
             leave_one_out(m, w(0.5, 0.5))
         with pytest.raises(error, match=message):
             _leave_one_out_loop(m, w(0.5, 0.5))
+
+
+def _flips_intp(base, ranks, m):
+    """``_flips`` with the ranks compared as intp, the reference for its narrowing."""
+    base, ranks = base.astype(np.intp), ranks.astype(np.intp)
+    s = base.shape[1]
+    before = base[:, :, None] < base[:, None, :]
+    flipped = before != (ranks[:, :, None] < ranks[:, None, :])
+    flipped &= np.arange(s)[:, None] < np.arange(s)
+    return before, flipped
+
+
+def _benchmark_generator():
+    """The benchmark's seeded input generator, ``perfbench/gen.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestNarrowPairPass:
+    """leave_one_out compares ranks as the narrowest unsigned ints that hold m;
+    the intp comparison is the reference."""
+
+    def _same_as_intp(self, matrix, weights):
+        narrow = _outcome(lambda: leave_one_out(matrix, weights))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcdm.sensitivity, "_flips", _flips_intp)
+            wide = _outcome(lambda: leave_one_out(matrix, weights))
+        assert narrow == wide
+        return narrow
+
+    def test_benchmark_matrices(self):
+        gen = _benchmark_generator()
+        for seed in range(1, 21):
+            labels, criteria, rows = gen.matrix_lists(
+                seed, "sweep-leave-one-out", *gen.LEAVE_ONE_OUT_SHAPE
+            )
+            matrix = new_matrix(
+                labels, [Criterion(name, Direction(d)) for name, d in criteria], rows
+            )
+            report = self._same_as_intp(matrix, equal_weights(matrix.n))
+            assert isinstance(report, LeaveOneOutReport)
+
+    def test_tie_prone_integer_matrices(self):
+        rng = np.random.default_rng(24)
+        reversals = 0
+        for _ in range(200):
+            m, n = rng.integers(3, 25), rng.integers(1, 5)
+            criteria = [Criterion(f"c{j}", (B, C)[rng.integers(2)]) for j in range(n)]
+            values = rng.integers(0, 4, size=(m, n)).astype(float)
+            matrix = new_matrix([f"a{i}" for i in range(m)], criteria, values)
+            report = self._same_as_intp(matrix, equal_weights(n))
+            reversals += isinstance(report, LeaveOneOutReport) and report.any_reversal
+        assert reversals > 0
+
+    @pytest.mark.parametrize("m", [255, 256, 257])
+    def test_width_edge(self, m):
+        rng = np.random.default_rng(m)
+        removed = np.array([0, m // 2, m - 1])
+        survivors = np.arange(m - 1) + (np.arange(m - 1) >= removed[:, None])
+        base = (rng.permutation(m) + 1)[survivors]
+        ranks = np.array([rng.permutation(m - 1) + 1 for _ in removed])
+        assert base.max() == m and np.min_scalar_type(m).itemsize == 1 + (m > 255)
+        narrow = mcdm.sensitivity._flips(base, ranks, m)
+        for got, want in zip(narrow, _flips_intp(base, ranks, m)):
+            assert np.array_equal(got, want)
 
 
 class TestChunkedGrid:
