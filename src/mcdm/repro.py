@@ -168,7 +168,8 @@ def _kendall_tau(a: list[int], b: list[int]) -> float:
     Both rank vectors compared here are untied (computed ranks form a
     permutation and the published ranks are distinct), so tau-a equals the
     tau-b of statistics libraries. The pair count is an exact integer and is
-    divided once, so the result is the correctly rounded ratio.
+    divided once, so the result is the correctly rounded ratio. ``_fit``
+    takes it from ``_kendall_taus``; this loop is their reference.
     """
     n = len(a)
     score = 0
@@ -177,6 +178,17 @@ def _kendall_tau(a: list[int], b: list[int]) -> float:
             d = (a[i] - a[j]) * (b[i] - b[j])
             score += (d > 0) - (d < 0)
     return score / (n * (n - 1) / 2)
+
+
+def _kendall_taus(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """``_kendall_tau`` of each row of the (k, n) ranks ``a`` against the (n,) ranks ``b``.
+
+    Each pair's sign product appears twice in the (k, n, n) array, so half
+    its sum is the exact integer score, divided as ``_kendall_tau`` divides it.
+    """
+    n = a.shape[1]
+    signs = np.sign(a[:, :, None] - a[:, None, :]) * np.sign(b[:, None] - b[None, :])
+    return [score / (n * (n - 1) / 2) for score in (signs.sum(axis=(1, 2)) // 2).tolist()]
 
 
 def _failed(config: ReproConfig, exc: McdmError) -> ConfigReport:
@@ -197,8 +209,9 @@ def _fit(
     else:
         got = list(range(len(alternatives)))
 
-    want_ranks = expected.rank[: len(got)].tolist()
+    want_ranks = expected.rank[: len(got)]
     deltas = abs(c[:, got] - expected.closeness[: len(got)]).tolist()
+    got_ranks = ranks[:, got]
     return [
         ConfigReport(
             config=config,
@@ -207,10 +220,15 @@ def _fit(
             rows_compared=len(got),
             max_abs_ci_delta=max(d),
             mean_abs_ci_delta=sum(d) / len(d),
-            exact_rank_matches=sum(g == w for g, w in zip(got_ranks, want_ranks)),
-            kendall_tau=_kendall_tau(got_ranks, want_ranks),
+            exact_rank_matches=matches,
+            kendall_tau=tau,
         )
-        for config, d, got_ranks in zip(configs, deltas, ranks[:, got].tolist())
+        for config, d, matches, tau in zip(
+            configs,
+            deltas,
+            (got_ranks == want_ranks).sum(axis=1).tolist(),
+            _kendall_taus(got_ranks, want_ranks),
+        )
     ]
 
 

@@ -22,11 +22,14 @@ from .errors import (
 from .model import WEIGHT_SUM_TOL, DecisionMatrix, WeightVector, _ArrayRecord, new_matrix
 from .topsis import (
     _CHUNK_ELEMENTS,
+    _GRID_CHUNK_ELEMENTS,
     _U,
     _benefit_mask,
     _closeness,
+    _entry_bound,
     _grid_ranks,
-    _ranks,
+    _grid_screen,
+    _removal_terms,
     _separations,
     _unit_columns,
     topsis_rank,
@@ -223,53 +226,118 @@ def rank_stability(
     )
 
 
-def _flips(base: np.ndarray, ranks: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair masks of (c, s) rank rows ``base`` and ``ranks``, whose ranks lie in 1..m.
+def _survivors(m: int, removed: np.ndarray) -> np.ndarray:
+    """Row s holds the rows of an m-row matrix left after removing removed[s], in order."""
+    return np.arange(m - 1) + (np.arange(m - 1) >= removed[:, None])
 
-    Returns two (c, s, s) masks: of the pairs (a, b) that ``base`` ranks a
-    ahead of b, and of the pairs a < b whose order ``ranks`` reverses. The
-    ranks are compared as the narrowest unsigned ints that hold m, so each
-    mask is built from fewer bytes.
+
+def _stacked_orders(
+    matrix: DecisionMatrix, removed: np.ndarray, w: np.ndarray, benefit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank the matrix without each row in ``removed`` by the batched kernel, in
+    one stacked pass.
+
+    Returns each removal's survivors best first, as input indices (ties go to
+    the earlier one), and which removals are degenerate: their survivors are
+    indistinguishable. ``w`` is one (1, n) weight row for every reduced matrix.
     """
-    narrow = np.min_scalar_type(m)
-    base, ranks = base.astype(narrow), ranks.astype(narrow)
-    s = base.shape[1]
-    before = base[:, :, None] < base[:, None, :]
-    flipped = before != (ranks[:, :, None] < ranks[:, None, :])
-    flipped &= np.arange(s)[:, None] < np.arange(s)
-    return before, flipped
+    survivors = _survivors(matrix.m, removed)
+    unit = _unit_columns(matrix.values[survivors], matrix.criteria)
+    c, undefined = _closeness(*_separations(unit, w, benefit))
+    order = np.argsort(-c, axis=1, kind="stable")
+    return np.take_along_axis(survivors, order, axis=1), undefined.any(axis=1)
 
 
-def _removal_effects(
+def _screened_orders(
     matrix: DecisionMatrix,
-    baseline: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
     removed: np.ndarray,
     w: np.ndarray,
     benefit: np.ndarray,
-) -> list[RemovalEffect]:
-    """Rank the matrix without each row in ``removed``, all in one stacked pass.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_stacked_orders``, with the kernel run only on the removals that
+    ``_removal_terms``' screen cannot clear.
 
-    ``w`` is one (1, n) weight row for every reduced matrix. A reduced matrix
-    whose survivors are indistinguishable is marked degenerate.
+    As in ``_grid_ranks``: a removal whose survivors' product closeness values
+    are all more than twice its row bound apart has the kernel's strict order;
+    one the row bound cannot clear is screened again with its survivors'
+    per-entry bounds, and one neither clears (near-ties, ties, duplicate and
+    degenerate survivors) goes to the kernel. The removed row's own entry is
+    left out of the order and the gap test.
     """
-    m = matrix.m
-    # survivors[s] holds the rows left after removing row removed[s], in order.
-    survivors = np.arange(m - 1) + (np.arange(m - 1) >= removed[:, None])
-    unit = _unit_columns(matrix.values[survivors], matrix.criteria)
-    c, undefined = _closeness(*_separations(unit, w, benefit))
-    degenerate = undefined.any(axis=1)
-    before, flipped = _flips(baseline[survivors], _ranks(c), m)
-    flipped[degenerate] = False  # closeness is undefined there: no pairs to report
-    slot, a, b = np.unravel_index(np.flatnonzero(flipped), flipped.shape)
-    ahead = np.where(before[slot, a, b], survivors[slot, a], survivors[slot, b])
-    behind = np.where(before[slot, a, b], survivors[slot, b], survivors[slot, a])
-    labels = matrix.alternatives
-    pairs: list[list[tuple[str, str]]] = [[] for _ in removed]
-    for i, x, y in zip(slot.tolist(), ahead.tolist(), behind.tolist()):
-        pairs[i].append((labels[x], labels[y]))
+    squares, errors, rows = terms
+    rows = rows[removed]
+    survivors = _survivors(matrix.m, removed)
+    # The removed row's own entries may overflow; they are left out below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, c, bound = _grid_screen(squares, rows)
+        keys = np.take_along_axis(c.T, survivors, axis=1)
+        order = np.argsort(keys, axis=1)[:, ::-1]
+        keys = np.take_along_axis(keys, order, axis=1)
+        gap = (keys[:, :-1] - keys[:, 1:]).min(axis=1)
+        unsure = np.flatnonzero(~(gap > 2 * bound))
+        if len(unsure):
+            eps = _entry_bound(errors, rows[unsure], s[:, unsure])
+            eps = np.take_along_axis(eps.T, survivors[unsure], axis=1).max(axis=1)
+            unsure = unsure[~(gap[unsure] > 2 * eps)]
+    ranked = np.take_along_axis(survivors, order, axis=1)
+    degenerate = np.zeros(len(removed), dtype=bool)
+    if len(unsure):
+        ranked[unsure], degenerate[unsure] = _stacked_orders(matrix, removed[unsure], w, benefit)
+    return ranked, degenerate
+
+
+def _reversals(
+    baseline: np.ndarray, removed: np.ndarray, ranked: np.ndarray, degenerate: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The survivor pairs whose order each removal reverses, from the (m,)
+    baseline ranks and each removal's survivors best first (``ranked``).
+
+    Returns each pair's slot in ``removed`` and its baseline-ahead and
+    baseline-behind input indices, sorted by slot, then by the pair's earlier
+    and later input index. A degenerate removal has no pairs.
+
+    ``place`` holds the survivors' baseline places, 0 first, in reduced
+    order, so a pair reverses where an earlier entry is larger. With D the
+    largest |place[p] - p|, a reversed pair at p < q has
+    q - p = (q - place[q]) + (place[q] - place[p]) + (place[p] - p) <= 2D - 1,
+    so comparing entries fewer than 2D (and m - 1) apart finds every pair.
+    """
+    m = len(baseline)
+    place = baseline[ranked]
+    place -= (place > baseline[removed][:, None]) + 1
+    place[degenerate] = np.arange(m - 1)
+    reach = int(np.abs(place - np.arange(m - 1)).max())
+    # Each reversed pair's entries as flat indices into ``place``: p, then p + k.
+    first, second = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for k in range(1, min(2 * reach, m - 1)):
+        hit = np.flatnonzero(place[:, :-k] > place[:, k:])
+        hit += hit // (m - 1 - k) * k
+        first.append(hit)
+        second.append(hit + k)
+    first, second = np.concatenate(first), np.concatenate(second)
+    behind, ahead = ranked.ravel()[first], ranked.ravel()[second]
+    slot = first // (m - 1)
+    key = (slot * m + np.minimum(ahead, behind)) * m + np.maximum(ahead, behind)
+    order = np.argsort(key)
+    return slot[order], ahead[order], behind[order]
+
+
+def _removal_effects(
+    labels: tuple[str, ...],
+    baseline: np.ndarray,
+    removed: np.ndarray,
+    ranked: np.ndarray,
+    degenerate: np.ndarray,
+) -> list[RemovalEffect]:
+    """One ``RemovalEffect`` per row in ``removed``, from ``_reversals``."""
+    slot, ahead, behind = _reversals(baseline, removed, ranked, degenerate)
+    names = np.array(labels, dtype=object)
+    pairs = list(zip(names[ahead].tolist(), names[behind].tolist()))
+    bounds = np.searchsorted(slot, np.arange(len(removed) + 1)).tolist()
     return [
-        RemovalEffect(removed=labels[k], reversed_pairs=tuple(p), degenerate=bool(d))
-        for k, p, d in zip(removed.tolist(), pairs, degenerate.tolist())
+        RemovalEffect(removed=labels[k], reversed_pairs=tuple(pairs[a:b]), degenerate=d)
+        for k, a, b, d in zip(removed.tolist(), bounds, bounds[1:], degenerate.tolist())
     ]
 
 
@@ -282,6 +350,11 @@ def leave_one_out(
 
     Weights stay fixed by default, isolating pure TOPSIS rank reversal;
     pass ``reweight`` to recompute data-driven weights on each reduced matrix.
+    With fixed weights, every removal is screened from one product over the
+    full matrix (``_removal_terms``), and only those the screen cannot clear
+    are ranked by the kernel; if a removal's column norms are near the range
+    the kernel accepts, every removal is ranked by the kernel, so the first
+    that cannot be normalized raises.
     """
     if matrix.m < 3:
         raise TooFewAlternatives("leave-one-out needs at least three alternatives")
@@ -290,8 +363,11 @@ def leave_one_out(
     benefit = _benefit_mask(matrix.directions)
     w = weights.to_array()[None, :]
     # A reweighted removal has weights of its own, so it is ranked alone.
-    per_removal = (m - 1) * max(m - 1, matrix.n)
-    chunk = 1 if reweight is not None else max(1, _CHUNK_ELEMENTS // per_removal)
+    terms = None if reweight is not None else _removal_terms(matrix.values, w[0], benefit)
+    # At most _GRID_CHUNK_ELEMENTS (k, m) screen outputs and _CHUNK_ELEMENTS
+    # (k, m - 1, n) kernel elements per chunk of k removals.
+    chunk = min(_GRID_CHUNK_ELEMENTS // m, _CHUNK_ELEMENTS // ((m - 1) * matrix.n))
+    chunk = 1 if reweight is not None else max(1, chunk)
     effects = []
     for start in range(0, m, chunk):
         if reweight is not None:
@@ -302,5 +378,9 @@ def leave_one_out(
             )
             w = reweight(reduced).to_array()[None, :]
         removed = np.arange(start, min(start + chunk, m))
-        effects += _removal_effects(matrix, baseline, removed, w, benefit)
+        if terms is None:
+            orders = _stacked_orders(matrix, removed, w, benefit)
+        else:
+            orders = _screened_orders(matrix, terms, removed, w, benefit)
+        effects += _removal_effects(matrix.alternatives, baseline, removed, *orders)
     return LeaveOneOutReport(effects=tuple(effects))

@@ -27,6 +27,7 @@ class IdealPoints:
 
 # A squared norm below this is subnormal: it has already lost precision.
 _TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
 
 
 def _unit_columns(x: np.ndarray, criteria: Sequence[Criterion]) -> np.ndarray:
@@ -131,37 +132,110 @@ def _batch_topsis(
 # Unit roundoff of float64.
 _U = 2.0**-53
 # Bounds the largest array of one stacked kernel call: the (k, m, n)
-# temporaries of k weight rows, or of a leave-one-out pass over k removals,
-# whose (k, m-1, m-1) pair masks it also bounds.
+# temporaries of k weight rows, or the (k, m - 1, n) ones of k leave-one-out
+# removals.
 _CHUNK_ELEMENTS = 1 << 18
-# _grid_ranks screens weight rows in chunks of at most this many (k, m)
-# outputs, so a chunk's product, sort and bound arrays stay in cache.
+# _grid_ranks screens weight rows, and leave_one_out removals, in chunks of
+# at most this many (k, m) outputs, so a chunk's product, sort and bound
+# arrays stay in cache.
 _GRID_CHUNK_ELEMENTS = 1 << 13
 
 
-def _grid_terms(unit: np.ndarray, benefit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weight-independent left-hand sides of ``_grid_closeness``' products.
+def _terms(
+    unit: np.ndarray, points: np.ndarray, scale: int, relative: int, floor: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_grid_screen``'s left-hand sides for the (m, c) ``unit`` columns and
+    their (2, 1, c) ideal and anti-ideal ``points``.
 
-    With d = u_ij - a_j, a_j the unit column's ideal or anti-ideal value, and
-    the error term E_ij = 16 u |d| (u_ij + a_j) + 6 (n + 4) u d^2 + 64 u^2:
+    With d = u_ij - a_j and the error term
+    E_ij = scale u |d| (u_ij + a_j) + relative u d^2 + floor u^2:
 
-    - ``squares``, a C-contiguous (2m + 2, n) array: d^2 of every alternative
+    - ``squares``, a C-contiguous (2m + 2, c) array: d^2 of every alternative
       for the ideal, then for the anti-ideal, then each block's largest error
-      term max_i E_ij times 1 + 8 (n + 1) u;
-    - ``errors``, a C-contiguous (2m, n) array of the E_ij, ideal block first.
+      term max_i E_ij times 1 + 8 (c + 1) u;
+    - ``errors``, a C-contiguous (2m, c) array of the E_ij, ideal block first.
 
     Weight rows go on the right, so a product has one column per weight row
     and its reductions over alternatives run down contiguous rows.
     """
-    m, n = unit.shape
-    ideal, anti = _ideal(unit.max(axis=0), unit.min(axis=0), benefit)
-    points = np.stack([ideal, anti])[:, None, :]
+    m, c = unit.shape
     diff = unit - points
     square = diff * diff
-    error = (16 * _U) * np.abs(diff) * (unit + points) + (6 * (n + 4) * _U) * square
-    error += 64 * _U * _U
-    top = error.max(axis=1) * (1 + 8 * (n + 1) * _U)
-    return np.concatenate([square.reshape(2 * m, n), top]), error.reshape(2 * m, n)
+    error = (scale * _U) * np.abs(diff) * (unit + points) + (relative * _U) * square
+    error += floor * _U * _U
+    top = error.max(axis=1) * (1 + 8 * (c + 1) * _U)
+    return np.concatenate([square.reshape(2 * m, c), top]), error.reshape(2 * m, c)
+
+
+def _grid_terms(unit: np.ndarray, benefit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-independent terms of ``_grid_closeness``' products (``_terms``),
+    with E_ij = 16 u |d| (u_ij + a_j) + 6 (n + 4) u d^2 + 64 u^2."""
+    n = unit.shape[1]
+    ideal, anti = _ideal(unit.max(axis=0), unit.min(axis=0), benefit)
+    return _terms(unit, np.stack([ideal, anti])[:, None, :], 16, 6 * (n + 4), 64)
+
+
+def _removal_terms(
+    x: np.ndarray, w: np.ndarray, benefit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``_grid_screen``'s terms for removing each row of the (m, n) matrix ``x``
+    in turn, under the weights ``w``, or None where a removal's squared column
+    norm is not safely inside the range ``_unit_columns`` accepts.
+
+    Removal r is the full unit matrix u = x / N without row r, under the
+    weights v_rj = w_j N_j / N'_rj, with N'_rj^2 the column's squares summed
+    without row r, from prefix plus suffix sums (N_j^2 - x_rj^2 would cancel
+    where row r holds most of the column). A survivor column's ideal or
+    anti-ideal point is the full column's, except where r holds it (argmax or
+    argmin): there it is the second value of the sorted column, equal to the
+    first on a tie. Over 3n columns, the ideal block holds d^2 against
+    [first ideal, second ideal, first ideal] and the anti-ideal block against
+    [first anti, first anti, second anti]. Removal r's squared weight row is
+    v^2 in the first third where r holds neither point, in the second where
+    it holds the ideal and in the third where it holds the anti-ideal (row 0
+    holds both of a constant column, where every d is 0), and 0 elsewhere.
+
+    Returns the (2m + 2, 3n) ``squares`` and (2m, 3n) ``errors`` of ``_terms``,
+    with E_ij = 32 u |d| (u_ij + a_j) + 12 (n + m + 4) u d^2 + 256 u^2 (derived
+    in ``_grid_closeness``' docstring), and the C-contiguous (m, 3n) squared
+    weight rows, row r for removal r.
+
+    The kernel's reduced squared norm and the prefix plus suffix sum are each
+    within gamma_(m-1) of the exact sum, and underflowing squares lose at most
+    m 2^-1075 more, so they differ by less than 3 m u of either where both are
+    at least tiny. A sum outside [tiny (1 + 4 m u), huge / (1 + 4 m u)] could
+    take the kernel out of range, so it returns None, as it does where a
+    squared weight is not finite.
+    """
+    m, n = x.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range sums are rejected below
+        square = x * x
+        ahead = np.cumsum(square, axis=0)
+        behind = np.cumsum(square[::-1], axis=0)[::-1]
+        reduced = np.empty_like(square)
+        reduced[0], reduced[-1] = behind[1], ahead[-2]
+        np.add(ahead[:-2], behind[2:], out=reduced[1:-1])
+        margin = 1 + 4 * m * _U
+        if not ((reduced >= _TINY * margin) & (reduced <= _HUGE / margin)).all():
+            return None
+        total = ahead[-1]
+        # Not w^2 times the factor: a subnormal w^2 would lose too much in that product.
+        v2 = w * (w * (total / reduced))
+        if not np.isfinite(v2).all():
+            return None
+    unit = x / np.sqrt(total)
+    ordered = np.sort(unit, axis=0)
+    first = np.stack(_ideal(ordered[-1], ordered[0], benefit))
+    second = np.stack(_ideal(ordered[-2], ordered[1], benefit))
+    holder = np.stack(_ideal(unit.argmax(axis=0), unit.argmin(axis=0), benefit))
+    holds = np.arange(m)[:, None, None] == holder  # (m, 2, n): r holds the ideal, the anti-ideal
+    points = np.concatenate([first, first, first], axis=1)
+    points[0, n : 2 * n] = second[0]
+    points[1, 2 * n :] = second[1]
+    squares, errors = _terms(np.tile(unit, 3), points[:, None, :], 32, 12 * (n + m + 4), 256)
+    neither = ~(holds[:, 0] | holds[:, 1])
+    rows = np.concatenate([v2 * neither, v2 * holds[:, 0], v2 * holds[:, 1]], axis=1)
+    return squares, errors, rows
 
 
 def _grid_screen(
@@ -176,7 +250,8 @@ def _grid_screen(
     The product's last two rows are E+ and E-, the squared weights times
     each block's largest error term, so in exact arithmetic E+ is at least
     every alternative's eta+ and E- every eta-. Computed, in any summation
-    order, E+ is at least (1 - gamma_(n+1)) times its exact value with the
+    order, with n the columns of ``squares``, E+ is at least
+    (1 - gamma_(n+1)) times its exact value with the
     factor 1 + 8 (n + 1) u on the largest terms, and each eta+ at most
     1 + gamma_n times its own; so E+ exceeds every computed eta+ by a factor
     above 1 + 13u, more than the 9u that one square root and one division on
@@ -258,6 +333,35 @@ def _grid_closeness(
     with T = S+ + S-; 4u adds the rounding of both closeness divisions. eps
     is infinite where T <= delta+ + delta-, where the kernel's closeness may
     be undefined.
+
+    Leave-one-out (``_removal_terms``). For removal r the kernel normalizes the
+    reduced matrix itself, u'_ij = fl(x_ij / N'), N' = fl(sqrt(Q')) with Q' its
+    sum of the survivors' squares, and runs on w. The product takes
+    u_ij = fl(x_ij / N), N = fl(sqrt(Q)), and V_j = fl(w_j fl(w_j fl(Q / P))),
+    P the prefix plus suffix sum. With rho = N / N' and kappa = 2u / (1 - u),
+    u'_ij = rho u_ij (1 + k_ij) with |k_ij| <= kappa. Rounding is monotone, so
+    both sides take the survivors' extreme at the same row, and
+    u' - a' = rho (d + e_ij) with |e_ij| <= e = kappa (u_ij + a_j). So the
+    kernel's exact term w^2 (u' - a')^2 is within rho^2 w^2 (2 |d| e + e^2) of
+    rho^2 w^2 d^2, and its rounding, 6 u D P + 5 u^2 P^2 with D <= rho w (|d| + e)
+    and P <= rho w (u_ij + a_j) (1 + kappa), adds at most
+    rho^2 w^2 (6.01 u |d| (u_ij + a_j) + 69 u^2), as u_ij + a_j <= 2. V is
+    within (3 m + 8) u of rho^2 w^2: Q' and P differ by less than 3 m u (see
+    ``_removal_terms``), and three roundings in V and the two square roots
+    N and N' add 7 u. The product rounds d, its square and each product, then
+    sums 3n terms: gamma_(3n+3). In all, the two computed S^2 differ by at most
+    sum_j V_j (10.1 u |d| (u_ij + a_j) + (4 n + 3 m + 11) u d^2 + 86 u^2), so
+    half of eta with
+        E_ij = 32 u |d| (u_ij + a_j) + 12 (n + m + 4) u d^2 + 256 u^2
+    covers it, with the slack over the first two terms' needs again covering
+    the square roots, and the factor 2 the rounding of eta. V_j is at least
+    w_j^2 (1 - (3 m + 8) u), so the last term still covers underflow: a
+    subnormal u_ij moves its term by at most 2^-1074 V_j, and a subnormal V_j
+    by at most 2^-1075. The
+    removed row's own entries are in the products too: they only raise
+    ``_grid_screen``'s maxima and lower its minima, so its row bound still
+    holds on the survivors, and callers leave that entry out of the order and
+    of any per-entry bound. These bounds hold for (3 n + 3 m + 11) u <= 0.01.
 
     ``_grid_screen`` derives one cheaper bound per row from the same product;
     ``_grid_ranks`` computes these per-entry bounds only for the rows it

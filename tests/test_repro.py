@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import mcdm.repro
@@ -14,6 +15,7 @@ from mcdm.repro import (
     WeightMethod,
     _config_matrix,
     _kendall_tau,
+    _kendall_taus,
     all_configs,
     builtin_expected,
     builtin_fixture,
@@ -191,6 +193,30 @@ def test_kendall_tau_matches_oracle():
 def test_kendall_tau_direct(a, b, tau):
     assert _kendall_tau(a, b) == tau
     assert _kendall_tau(a, b) == kendall_tau_oracle(a, b)
+
+
+def test_fit_taus_equal_kendall_tau_on_every_sweep_row():
+    from mcdm.repro import _config_weights
+    from mcdm.topsis import topsis_rank
+
+    expected = builtin_expected()
+    for e in run_sweep().entries:
+        matrix = _config_matrix(e.config)
+        ranks = topsis_rank(matrix, _config_weights(e.config, matrix)).rank
+        if e.config.orientation is Orientation.TRANSPOSED:
+            position = {label: i for i, label in enumerate(matrix.alternatives)}
+            ranks = ranks[[position[label] for label in expected.alternatives]]
+        want = expected.rank[: len(ranks)].tolist()
+        assert e.kendall_tau.hex() == _kendall_tau(ranks.tolist(), want).hex()
+
+
+def test_batched_kendall_taus_equal_kendall_tau():
+    rng = np.random.default_rng(39)
+    for n in (2, 3, 9, 11, 40):
+        a = np.array([rng.permutation(n) + 1 for _ in range(6)] + [np.arange(1, n + 1)])
+        b = rng.permutation(n) + 1
+        got = [tau.hex() for tau in _kendall_taus(a, b)]
+        assert got == [_kendall_tau(row, b.tolist()).hex() for row in a.tolist()]
 
 
 def test_committed_artifact_current():

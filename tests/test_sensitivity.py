@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mcdm.sensitivity
@@ -29,14 +29,27 @@ from mcdm.sensitivity import (
     _infeasible,
     _perturbed,
     _rejected_rows,
+    _reversals,
+    _screened_orders,
+    _stacked_orders,
+    _survivors,
     leave_one_out,
     perturb_weights,
     rank_stability,
 )
-from mcdm.topsis import topsis_rank
+from mcdm.topsis import (
+    _closeness,
+    _entry_bound,
+    _grid_screen,
+    _removal_terms,
+    _separations,
+    _unit_columns,
+    topsis_rank,
+)
 from mcdm.weighting import equal_weights, std_dev_weights
 
 from .conftest import random_matrix
+from .test_topsis import SCREEN_KINDS, screen_values
 
 B = Direction.BENEFIT
 C = Direction.COST
@@ -580,7 +593,8 @@ class TestStackedLeaveOneOut:
 
 
 def _flips_intp(base, ranks, m):
-    """``_flips`` with the ranks compared as intp, the reference for its narrowing."""
+    """Two (c, s, s) masks of (c, s) rank rows: of the pairs (a, b) that ``base``
+    ranks a ahead of b, and of the pairs a < b whose order ``ranks`` reverses."""
     base, ranks = base.astype(np.intp), ranks.astype(np.intp)
     s = base.shape[1]
     before = base[:, :, None] < base[:, None, :]
@@ -598,17 +612,39 @@ def _benchmark_generator():
     return module
 
 
-class TestNarrowPairPass:
-    """leave_one_out compares ranks as the narrowest unsigned ints that hold m;
-    the intp comparison is the reference."""
+def _mask_reversals(baseline, removed, ranked, degenerate):
+    """``_reversals`` from ``_flips_intp``'s three pair masks, its reference."""
+    m = len(baseline)
+    survivors = _survivors(m, removed)
+    ranks = np.empty_like(ranked)
+    position = ranked - (ranked > removed[:, None])  # each input index's place among the survivors
+    np.put_along_axis(ranks, position, np.arange(1, m), axis=1)
+    before, flipped = _flips_intp(baseline[survivors], ranks, m)
+    flipped[degenerate] = False
+    slot, a, b = np.unravel_index(np.flatnonzero(flipped), flipped.shape)
+    ahead = np.where(before[slot, a, b], survivors[slot, a], survivors[slot, b])
+    behind = np.where(before[slot, a, b], survivors[slot, b], survivors[slot, a])
+    return slot, ahead, behind
 
-    def _same_as_intp(self, matrix, weights):
-        narrow = _outcome(lambda: leave_one_out(matrix, weights))
+
+class TestNarrowPairPass:
+    """leave_one_out compares only survivors fewer than 2D places apart in the
+    reduced order (``_reversals``); the full pair masks are the reference."""
+
+    def _same_as_masks(self, matrix, weights):
+        windowed = _outcome(lambda: leave_one_out(matrix, weights))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mcdm.sensitivity, "_flips", _flips_intp)
-            wide = _outcome(lambda: leave_one_out(matrix, weights))
-        assert narrow == wide
-        return narrow
+            patch.setattr(mcdm.sensitivity, "_reversals", _mask_reversals)
+            masked = _outcome(lambda: leave_one_out(matrix, weights))
+        assert windowed == masked
+        return windowed
+
+    def _check(self, baseline, removed, ranked, degenerate):
+        got = _reversals(baseline, removed, ranked, degenerate)
+        want = _mask_reversals(baseline, removed, ranked, degenerate)
+        for g, x in zip(got, want):
+            assert np.array_equal(g, x)
+        return len(got[0])
 
     def test_benchmark_matrices(self):
         gen = _benchmark_generator()
@@ -619,7 +655,7 @@ class TestNarrowPairPass:
             matrix = new_matrix(
                 labels, [Criterion(name, Direction(d)) for name, d in criteria], rows
             )
-            report = self._same_as_intp(matrix, equal_weights(matrix.n))
+            report = self._same_as_masks(matrix, equal_weights(matrix.n))
             assert isinstance(report, LeaveOneOutReport)
 
     def test_tie_prone_integer_matrices(self):
@@ -630,7 +666,7 @@ class TestNarrowPairPass:
             criteria = [Criterion(f"c{j}", (B, C)[rng.integers(2)]) for j in range(n)]
             values = rng.integers(0, 4, size=(m, n)).astype(float)
             matrix = new_matrix([f"a{i}" for i in range(m)], criteria, values)
-            report = self._same_as_intp(matrix, equal_weights(n))
+            report = self._same_as_masks(matrix, equal_weights(n))
             reversals += isinstance(report, LeaveOneOutReport) and report.any_reversal
         assert reversals > 0
 
@@ -638,13 +674,156 @@ class TestNarrowPairPass:
     def test_width_edge(self, m):
         rng = np.random.default_rng(m)
         removed = np.array([0, m // 2, m - 1])
-        survivors = np.arange(m - 1) + (np.arange(m - 1) >= removed[:, None])
-        base = (rng.permutation(m) + 1)[survivors]
-        ranks = np.array([rng.permutation(m - 1) + 1 for _ in removed])
-        assert base.max() == m and np.min_scalar_type(m).itemsize == 1 + (m > 255)
-        narrow = mcdm.sensitivity._flips(base, ranks, m)
-        for got, want in zip(narrow, _flips_intp(base, ranks, m)):
-            assert np.array_equal(got, want)
+        survivors = _survivors(m, removed)
+        ranked = np.array([rng.permutation(row) for row in survivors])
+        baseline = rng.permutation(m) + 1
+        assert self._check(baseline, removed, ranked, np.array([False, True, False])) > 0
+
+    def test_random_permutations(self):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            m = int(rng.integers(3, 40))
+            removed = np.sort(rng.choice(m, int(rng.integers(1, m + 1)), replace=False))
+            survivors = _survivors(m, removed)
+            # Mostly local moves, so the window is narrower than the matrix.
+            noise = rng.normal(0, rng.uniform(0, 4), survivors.shape)
+            ranked = np.take_along_axis(survivors, np.argsort(np.arange(m - 1) + noise), axis=1)
+            baseline = rng.permutation(m) + 1
+            self._check(baseline, removed, ranked, rng.uniform(0, 1, len(removed)) < 0.2)
+
+    def test_identity_and_full_reversal(self):
+        m = 30
+        baseline = np.random.default_rng(26).permutation(m) + 1
+        removed = np.arange(m)
+        # Survivors best first in baseline order: no pair reverses.
+        kept = np.take_along_axis(
+            _survivors(m, removed), np.argsort(baseline[_survivors(m, removed)]), axis=1
+        )
+        degenerate = np.zeros(m, dtype=bool)
+        assert self._check(baseline, removed, kept, degenerate) == 0
+        # Worst first: every pair reverses, and the window spans the whole order.
+        pairs = (m - 1) * (m - 2) // 2
+        assert self._check(baseline, removed, kept[:, ::-1], degenerate) == m * pairs
+
+
+@st.composite
+def removal_case(draw):
+    """A raw matrix of one of ``screen_case``'s kinds with at least three rows,
+    one weight row summing to 1 and directions."""
+    kind = draw(st.sampled_from(SCREEN_KINDS))
+    m, n = draw(st.integers(3, 10)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = screen_values(kind, rng, m, n)
+    w = rng.uniform(0, 1, n) * (rng.uniform(0, 1, n) < 0.8)
+    if kind == "tiny-weight":
+        w[rng.uniform(0, 1, n) < 0.5] = 1e-200
+    assume(w.sum() > 0)
+    return x, w / w.sum(), rng.uniform(0, 1, n) < 0.5
+
+
+def _removal_kernel(monkeypatch):
+    """Record the removals that leave_one_out sends to the stacked kernel."""
+    reached = []
+    real = mcdm.sensitivity._stacked_orders
+
+    def recording(matrix, removed, w, benefit):
+        reached.extend(removed.tolist())
+        return real(matrix, removed, w, benefit)
+
+    monkeypatch.setattr(mcdm.sensitivity, "_stacked_orders", recording)
+    return reached
+
+
+class TestRemovalScreen:
+    """leave_one_out ranks a removal from one product over the full matrix's
+    unit columns where the proven bound clears it, and by the stacked kernel
+    on the reduced matrix otherwise."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(removal_case())
+    def test_bound_holds_and_ranks_are_the_kernels(self, case):
+        x, w, benefit = case
+        m, n = x.shape
+        criteria = [Criterion(f"c{j}", B if b else C) for j, b in enumerate(benefit)]
+        matrix = new_matrix([f"a{i}" for i in range(m)], criteria, x)
+        removed = np.arange(m)
+        survivors = _survivors(m, removed)
+        terms = _removal_terms(x, w, benefit)
+        try:
+            unit = _unit_columns(x[survivors], criteria)
+        except (InvalidValue, ZeroColumn):
+            assert terms is None  # the whole call takes the kernel's path and raises
+            return
+        assume(terms is not None)
+        kernel, undefined = _closeness(*_separations(unit, w[None], benefit))
+        squares, errors, rows = terms
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, c, bound = _grid_screen(squares, rows)
+            eps = _entry_bound(errors, rows, s)
+        c = np.take_along_axis(c.T, survivors, axis=1)
+        eps = np.take_along_axis(eps.T, survivors, axis=1)
+        for r in range(m):
+            if undefined[r].any():
+                assert np.isinf(bound[r]) and np.isinf(eps[r][undefined[r]]).all()
+                continue
+            distance = np.abs(c[r] - kernel[r])
+            assert (distance <= bound[r]).all() and (distance <= eps[r]).all()
+        got = _screened_orders(matrix, terms, removed, w[None], benefit)
+        want = _stacked_orders(matrix, removed, w[None], benefit)
+        assert all(np.array_equal(g, x) for g, x in zip(got, want))
+
+    def test_no_benchmark_removal_reaches_the_kernel(self, monkeypatch):
+        gen = _benchmark_generator()
+        reached = _removal_kernel(monkeypatch)
+        for seed in range(1, 11):
+            labels, criteria, rows = gen.matrix_lists(
+                seed, "sweep-leave-one-out", *gen.LEAVE_ONE_OUT_SHAPE
+            )
+            matrix = new_matrix(
+                labels, [Criterion(name, Direction(d)) for name, d in criteria], rows
+            )
+            report = leave_one_out(matrix, equal_weights(matrix.n))
+            if seed == 1:
+                assert report == _leave_one_out_loop(matrix, equal_weights(matrix.n))
+        assert reached == []
+
+    def test_duplicate_rows_reach_the_kernel(self, monkeypatch):
+        # Rows a and c are equal, so they tie in every removal that keeps both.
+        m = new_matrix(
+            ["a", "b", "c", "d", "e"],
+            [Criterion("c1", B), Criterion("c2", C)],
+            [[1.0, 2.0], [3.0, 1.0], [1.0, 2.0], [2.0, 5.0], [4.0, 4.0]],
+        )
+        reached = _removal_kernel(monkeypatch)
+        assert leave_one_out(m, w(0.5, 0.5)) == _leave_one_out_loop(m, w(0.5, 0.5))
+        assert {1, 3, 4} <= set(reached)
+
+    def test_degenerate_removal_reaches_the_kernel(self, monkeypatch):
+        # Without "c" the survivors are identical.
+        m = new_matrix(
+            ["a", "b", "c"],
+            [Criterion("c1", B), Criterion("c2", C)],
+            [[1.0, 2.0], [1.0, 2.0], [3.0, 1.0]],
+        )
+        reached = _removal_kernel(monkeypatch)
+        assert [e.degenerate for e in leave_one_out(m, w(0.5, 0.5)).effects] == [False, False, True]
+        assert 2 in reached
+
+    def test_reduced_norm_at_the_range_edge_takes_the_kernels_path(self, monkeypatch):
+        # Without "c", c1's squared norm is (2^-511)^2, exactly the smallest
+        # normal number: the kernel accepts it, but the screen keeps no margin.
+        rows = [[2.0**-511, 1.0], [0.0, 2.0], [5.0, 3.0], [0.0, 1.0]]
+        m = new_matrix(["a", "b", "c", "d"], [Criterion("c1", B), Criterion("c2", C)], rows)
+        assert _removal_terms(m.values, np.array([0.5, 0.5]), np.array([True, False])) is None
+        reached = _removal_kernel(monkeypatch)
+        assert leave_one_out(m, w(0.5, 0.5)) == _leave_one_out_loop(m, w(0.5, 0.5))
+        assert reached == [0, 1, 2, 3]
+        # One ulp less, and that squared norm is subnormal: the kernel's error.
+        rows[0][0] = np.nextafter(2.0**-511, 0)
+        m = new_matrix(["a", "b", "c", "d"], [Criterion("c1", B), Criterion("c2", C)], rows)
+        for call in (leave_one_out, _leave_one_out_loop):
+            with pytest.raises(InvalidValue, match="squared norm is subnormal"):
+                call(m, w(0.5, 0.5))
 
 
 class TestChunkedGrid:

@@ -438,21 +438,16 @@ SCREEN_KINDS = (
 )
 
 
-@st.composite
-def screen_case(draw):
-    """Unit columns, weight rows and directions for _grid_ranks.
+def screen_values(kind, rng, m, n):
+    """A raw (m, n) matrix of one of ``SCREEN_KINDS``, drawn from ``rng``.
 
     Columns are random, scaled by 1e-150 to 1e150, tie-prone integers 0-3,
     random with one row a duplicate of another but one ulp away, integers
     0-2 with rows repeated and zeros of either sign, clustered like Likert
     means (3 to 3.5, so separations are small and rounding shows)
     or clustered far from zero (1000 to 1000.001, so separations are tiny
-    against the values); weight rows hold zeros, and 1e-200 entries in the
-    tiny-weight kind.
+    against the values).
     """
-    kind = draw(st.sampled_from(SCREEN_KINDS))
-    m, n, k = draw(st.integers(2, 9)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.uniform(0, 10, (m, n))
     if kind == "scaled":
         x *= 10.0 ** rng.integers(-150, 151, n)
@@ -470,6 +465,19 @@ def screen_case(draw):
         x = rng.uniform(3, 3.5, (m, n))
     elif kind == "far-clustered":
         x = 1000 + rng.uniform(0, 1e-3, (m, n))
+    return x
+
+
+@st.composite
+def screen_case(draw):
+    """Unit columns of ``screen_values``, weight rows and directions for _grid_ranks.
+
+    Weight rows hold zeros, and 1e-200 entries in the tiny-weight kind.
+    """
+    kind = draw(st.sampled_from(SCREEN_KINDS))
+    m, n, k = draw(st.integers(2, 9)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = screen_values(kind, rng, m, n)
     criteria = [Criterion(f"c{j}", B) for j in range(n)]
     try:
         unit = _unit_columns(x, criteria)
