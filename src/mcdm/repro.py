@@ -162,29 +162,15 @@ def _config_weights(config: ReproConfig, matrix: DecisionMatrix):
     return equal_weights(matrix.n)
 
 
-def _kendall_tau(a: list[int], b: list[int]) -> float:
-    """Kendall's tau-a: (concordant - discordant pairs) / (n * (n - 1) / 2).
+def _kendall_taus(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Kendall's tau-a of each row of the (k, n) ranks ``a`` against the (n,) ranks ``b``:
+    (concordant - discordant pairs) / (n (n - 1) / 2).
 
     Both rank vectors compared here are untied (computed ranks form a
     permutation and the published ranks are distinct), so tau-a equals the
-    tau-b of statistics libraries. The pair count is an exact integer and is
-    divided once, so the result is the correctly rounded ratio. ``_fit``
-    takes it from ``_kendall_taus``; this loop is their reference.
-    """
-    n = len(a)
-    score = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = (a[i] - a[j]) * (b[i] - b[j])
-            score += (d > 0) - (d < 0)
-    return score / (n * (n - 1) / 2)
-
-
-def _kendall_taus(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """``_kendall_tau`` of each row of the (k, n) ranks ``a`` against the (n,) ranks ``b``.
-
-    Each pair's sign product appears twice in the (k, n, n) array, so half
-    its sum is the exact integer score, divided as ``_kendall_tau`` divides it.
+    tau-b of statistics libraries. Each pair's sign product appears twice in
+    the (k, n, n) array, so half its sum is the exact integer score; it is
+    divided once, so each tau is the correctly rounded ratio.
     """
     n = a.shape[1]
     signs = np.sign(a[:, :, None] - a[:, None, :]) * np.sign(b[:, None] - b[None, :])

@@ -21,15 +21,13 @@ from .errors import (
 )
 from .model import WEIGHT_SUM_TOL, DecisionMatrix, WeightVector, _ArrayRecord, new_matrix
 from .topsis import (
-    _CHUNK_ELEMENTS,
-    _GRID_CHUNK_ELEMENTS,
     _U,
     _benefit_mask,
+    _chunk,
     _closeness,
-    _entry_bound,
     _grid_ranks,
-    _grid_screen,
     _removal_terms,
+    _screened_order,
     _separations,
     _unit_columns,
     topsis_rank,
@@ -256,31 +254,12 @@ def _screened_orders(
     benefit: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_stacked_orders``, with the kernel run only on the removals that
-    ``_removal_terms``' screen cannot clear.
-
-    As in ``_grid_ranks``: a removal whose survivors' product closeness values
-    are all more than twice its row bound apart has the kernel's strict order;
-    one the row bound cannot clear is screened again with its survivors'
-    per-entry bounds, and one neither clears (near-ties, ties, duplicate and
-    degenerate survivors) goes to the kernel. The removed row's own entry is
-    left out of the order and the gap test.
+    ``_screened_order`` cannot clear over their survivors (near-ties, ties,
+    duplicate and degenerate survivors).
     """
     squares, errors, rows = terms
-    rows = rows[removed]
     survivors = _survivors(matrix.m, removed)
-    # The removed row's own entries may overflow; they are left out below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, c, bound = _grid_screen(squares, rows)
-        keys = np.take_along_axis(c.T, survivors, axis=1)
-        order = np.argsort(keys, axis=1)[:, ::-1]
-        keys = np.take_along_axis(keys, order, axis=1)
-        gap = (keys[:, :-1] - keys[:, 1:]).min(axis=1)
-        unsure = np.flatnonzero(~(gap > 2 * bound))
-        if len(unsure):
-            eps = _entry_bound(errors, rows[unsure], s[:, unsure])
-            eps = np.take_along_axis(eps.T, survivors[unsure], axis=1).max(axis=1)
-            unsure = unsure[~(gap[unsure] > 2 * eps)]
-    ranked = np.take_along_axis(survivors, order, axis=1)
+    ranked, unsure = _screened_order(squares, errors, rows[removed], survivors)
     degenerate = np.zeros(len(removed), dtype=bool)
     if len(unsure):
         ranked[unsure], degenerate[unsure] = _stacked_orders(matrix, removed[unsure], w, benefit)
@@ -364,10 +343,7 @@ def leave_one_out(
     w = weights.to_array()[None, :]
     # A reweighted removal has weights of its own, so it is ranked alone.
     terms = None if reweight is not None else _removal_terms(matrix.values, w[0], benefit)
-    # At most _GRID_CHUNK_ELEMENTS (k, m) screen outputs and _CHUNK_ELEMENTS
-    # (k, m - 1, n) kernel elements per chunk of k removals.
-    chunk = min(_GRID_CHUNK_ELEMENTS // m, _CHUNK_ELEMENTS // ((m - 1) * matrix.n))
-    chunk = 1 if reweight is not None else max(1, chunk)
+    chunk = 1 if reweight is not None else _chunk(m, (m - 1) * matrix.n)
     effects = []
     for start in range(0, m, chunk):
         if reweight is not None:

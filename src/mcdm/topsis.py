@@ -2,11 +2,12 @@
 
 Vector normalization is the only normalization offered; separations use the
 Euclidean metric. Ranks come from one stable sort of each closeness row, so
-ties go to the earlier index. Sensitivity grids need only ranks:
-``_grid_ranks`` takes them from one matrix product per chunk of weight rows
-wherever a proven error bound, one per row or else one per entry, shows they
-are the kernel's, ranking those rows from the one sort its screen already
-makes, and runs the kernel on the remaining, near-tied rows.
+ties go to the earlier index. Sensitivity sweeps need only orders:
+``_screened_order`` takes them from one matrix product per chunk of weight
+rows wherever a proven error bound, one per row (``_grid_screen``) or else one
+per entry (``_entry_bound``), shows they are the kernel's, and leaves the
+remaining, near-tied rows to the caller's kernel run. ``_grid_ranks`` and
+leave-one-out's removals both go through it.
 """
 from __future__ import annotations
 
@@ -141,6 +142,12 @@ _CHUNK_ELEMENTS = 1 << 18
 _GRID_CHUNK_ELEMENTS = 1 << 13
 
 
+def _chunk(outputs: int, elements: int) -> int:
+    """Rows per chunk, at least 1, for ``outputs`` screen outputs and
+    ``elements`` kernel elements per row, within both budgets above."""
+    return max(1, min(_GRID_CHUNK_ELEMENTS // outputs, _CHUNK_ELEMENTS // elements))
+
+
 def _terms(
     unit: np.ndarray, points: np.ndarray, scale: int, relative: int, floor: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +175,8 @@ def _terms(
 
 
 def _grid_terms(unit: np.ndarray, benefit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weight-independent terms of ``_grid_closeness``' products (``_terms``),
-    with E_ij = 16 u |d| (u_ij + a_j) + 6 (n + 4) u d^2 + 64 u^2."""
+    """The weight-independent terms of ``_grid_screen``'s and ``_entry_bound``'s
+    products (``_terms``), with E_ij = 16 u |d| (u_ij + a_j) + 6 (n + 4) u d^2 + 64 u^2."""
     n = unit.shape[1]
     ideal, anti = _ideal(unit.max(axis=0), unit.min(axis=0), benefit)
     return _terms(unit, np.stack([ideal, anti])[:, None, :], 16, 6 * (n + 4), 64)
@@ -197,7 +204,7 @@ def _removal_terms(
 
     Returns the (2m + 2, 3n) ``squares`` and (2m, 3n) ``errors`` of ``_terms``,
     with E_ij = 32 u |d| (u_ij + a_j) + 12 (n + m + 4) u d^2 + 256 u^2 (derived
-    in ``_grid_closeness``' docstring), and the C-contiguous (m, 3n) squared
+    in ``_entry_bound``'s docstring), and the C-contiguous (m, 3n) squared
     weight rows, row r for removal r.
 
     The kernel's reduced squared norm and the prefix plus suffix sum are each
@@ -245,7 +252,7 @@ def _grid_screen(
 
     Returns the (2m, k) product separations, S+ then S-, the (m, k) closeness
     s- / max(s+ + s-, tiny) and a (k,) bound that is at least every entry's
-    eps in ``_grid_closeness``, all from one product with ``squares``.
+    eps in ``_entry_bound``, all from one product with ``squares``.
 
     The product's last two rows are E+ and E-, the squared weights times
     each block's largest error term, so in exact arithmetic E+ is at least
@@ -280,26 +287,10 @@ def _grid_screen(
 
 
 def _entry_bound(errors: np.ndarray, w2: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The (m, k) per-entry eps of ``_grid_closeness`` for (k, n) squared weights
-    and their (2m, k) separations from ``_grid_screen``."""
-    m = len(errors) // 2
-    eta = errors @ w2.T
-    delta = np.sqrt(eta)
-    np.divide(eta, np.maximum(s, delta, out=delta), out=delta)
-    d_plus, d_minus = delta[:m], delta[m:]
-    spread = d_plus + d_minus
-    room = s[:m] + s[m:] - spread
-    eps = np.divide(spread + d_minus, room, out=np.full_like(room, np.inf), where=room > 0)
-    eps += 4 * _U
-    return eps
-
-
-def _grid_closeness(
-    terms: tuple[np.ndarray, np.ndarray], weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closeness of (k, n) weight rows, each summing to 1, by one matrix
-    product with the unit columns' ``_grid_terms``, and a bound eps on its
-    distance from the kernel's closeness, each (k, m).
+    """The (m, k) per-entry bound eps on the distance of ``_grid_screen``'s
+    closeness from the kernel's, for (k, n) squared weights, each the square
+    of a weight row summing to 1, and their (2m, k) separations from
+    ``_grid_screen``; ``errors`` is ``_grid_terms``' or ``_removal_terms``'.
 
     Unit entries lie in [0, 1] and weights are nonnegative, so the kernel's
     squared separations are, in exact arithmetic,
@@ -360,17 +351,56 @@ def _grid_closeness(
     by at most 2^-1075. The
     removed row's own entries are in the products too: they only raise
     ``_grid_screen``'s maxima and lower its minima, so its row bound still
-    holds on the survivors, and callers leave that entry out of the order and
-    of any per-entry bound. These bounds hold for (3 n + 3 m + 11) u <= 0.01.
+    holds on the survivors, and ``_screened_order`` leaves that entry out of
+    the order and of the per-entry bound. These bounds hold for
+    (3 n + 3 m + 11) u <= 0.01.
 
     ``_grid_screen`` derives one cheaper bound per row from the same product;
-    ``_grid_ranks`` computes these per-entry bounds only for the rows it
+    ``_screened_order`` computes these per-entry bounds only for the rows it
     cannot clear.
     """
-    squares, errors = terms
-    w2 = weights * weights
-    s, c, _ = _grid_screen(squares, w2)
-    return c.T, _entry_bound(errors, w2, s).T
+    m = len(errors) // 2
+    eta = errors @ w2.T
+    delta = np.sqrt(eta)
+    np.divide(eta, np.maximum(s, delta, out=delta), out=delta)
+    d_plus, d_minus = delta[:m], delta[m:]
+    spread = d_plus + d_minus
+    room = s[:m] + s[m:] - spread
+    eps = np.divide(spread + d_minus, room, out=np.full_like(room, np.inf), where=room > 0)
+    eps += 4 * _U
+    return eps
+
+
+def _screened_order(
+    squares: np.ndarray, errors: np.ndarray, w2: np.ndarray, keep: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each (k, n) squared-weight row's entries best first, as entry indices,
+    from one ``_grid_screen`` product, and the rows that neither bound clears.
+
+    A filter with an exact fallback, as in Shewchuk's adaptive predicates:
+    cheapest filter first, the tighter one next, exact evaluation last. A row
+    whose sorted product closeness values are all more than twice its row
+    bound apart has the kernel's strict order; its keys are all distinct, so
+    numpy's default (unstable) sort gives that order. A row the row bound
+    cannot clear is screened again with its entries' ``_entry_bound``, twice
+    the largest, and a row neither clears, including any whose closeness the
+    kernel leaves undefined, is returned as unsure: the caller ranks it
+    exactly. ``keep``, a (k, m') index, names the entries that take part in
+    each row (all, if None); the others are left out of the order and of
+    both tests, and their own values may overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, c, bound = _grid_screen(squares, w2)
+        keys = c.T if keep is None else np.take_along_axis(c.T, keep, axis=1)
+        order = np.argsort(keys, axis=1)[:, ::-1]
+        gap = np.diff(np.sort(keys, axis=1), axis=1).min(axis=1, initial=np.inf)
+        unsure = np.flatnonzero(~(gap > 2 * bound))
+        if len(unsure):
+            eps = _entry_bound(errors, w2[unsure], s[:, unsure]).T
+            if keep is not None:
+                eps = np.take_along_axis(eps, keep[unsure], axis=1)
+            unsure = unsure[~(gap[unsure] > 2 * eps.max(axis=1))]
+    return order if keep is None else np.take_along_axis(keep, order, axis=1), unsure
 
 
 def _identical_rows(
@@ -399,41 +429,24 @@ def _identical_rows(
 
 
 def _grid_ranks(unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray) -> np.ndarray:
-    """``_batch_topsis(unit, weights, benefit)[3]``, with the kernel run only on near-ties.
-
-    A filter with an exact fallback, as in Shewchuk's adaptive predicates:
-    cheapest filter first, the tighter one next, exact evaluation last. A row
-    whose sorted product closeness values (``_grid_screen``) are all more than
-    twice its row bound apart has the kernel's strict order, so it is ranked
-    from them; its keys are all distinct, so numpy's default (unstable) sort
-    gives that order. A row the row bound cannot clear is screened again with
-    the per-entry bounds of ``_grid_closeness``, twice its largest eps, and a
-    row neither clears, including any whose closeness the kernel leaves
-    undefined, is ranked by the kernel, which raises as usual.
+    """``_batch_topsis(unit, weights, benefit)[3]``, with the kernel run only on
+    the rows that ``_screened_order`` cannot clear.
 
     Equal rows of ``unit`` get equal closeness from the kernel under every
     weight row, so it ranks them consecutively in input order: only one row
     of each group is screened, and its group's rows take consecutive ranks.
     A weight row that is not cleared is still ranked by the kernel on all of
-    ``unit``. The weight-independent
-    terms are computed once. Rows are screened in chunks of at most
-    ``_GRID_CHUNK_ELEMENTS`` (k, m) outputs and ``_CHUNK_ELEMENTS`` (k, m, n)
-    elements, so each chunk's unsure rows go to the kernel in one call.
+    ``unit``, which raises as usual. The weight-independent terms are
+    computed once. Rows are screened in ``_chunk``s, so each chunk's unsure
+    rows go to the kernel in one call.
     """
     groups = _identical_rows(unit)
     squares, errors = _grid_terms(unit if groups is None else unit[groups[0]], benefit)
     ranks = np.empty((len(weights), len(unit)), dtype=np.intp)
-    chunk = max(1, min(_GRID_CHUNK_ELEMENTS // len(unit), _CHUNK_ELEMENTS // unit.size))
+    chunk = _chunk(len(unit), unit.size)
     for start in range(0, len(weights), chunk):
         rows = weights[start : start + chunk]
-        w2 = rows * rows
-        s, c, bound = _grid_screen(squares, w2)
-        order = np.argsort(c.T, axis=1)[:, ::-1]
-        gap = np.diff(np.sort(c, axis=0), axis=0).min(axis=0, initial=np.inf)
-        unsure = np.flatnonzero(~(gap > 2 * bound))
-        if len(unsure):
-            eps = _entry_bound(errors, w2[unsure], s[:, unsure])
-            unsure = unsure[~(gap[unsure] > 2 * eps.max(axis=0))]
+        order, unsure = _screened_order(squares, errors, rows * rows)
         out = ranks[start : start + chunk]
         out[:] = _ranks_from(order) if groups is None else _expanded(order, *groups[1:])
         if len(unsure):

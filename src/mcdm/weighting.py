@@ -123,13 +123,13 @@ def std_dev_weights(
                 ~np.isfinite(sigma),
             )
         )
-    tiny = x[:, variance < _TINY]
-    if np.any(tiny.max(axis=0) != tiny.min(axis=0)):
+    tiny = variance < _TINY
+    if tiny.any() and np.any(x[:, tiny].max(axis=0) != x[:, tiny].min(axis=0)):
         raise InvalidValue(
             _named(
                 "cannot weight a varied column whose variance underflows",
                 matrix.criteria,
-                (variance < _TINY) & (x.max(axis=0) != x.min(axis=0)),
+                tiny & (x.max(axis=0) != x.min(axis=0)),
             )
         )
     if total == 0:

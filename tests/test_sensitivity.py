@@ -547,8 +547,8 @@ class TestStackedLeaveOneOut:
     """leave_one_out ranks removals in stacked chunks; the loop is the reference."""
 
     def test_matches_loop_across_chunks(self, rng):
-        m = random_matrix(rng, m=80, n=4)
-        assert 80 * 79 * 79 > mcdm.sensitivity._CHUNK_ELEMENTS  # several chunks
+        m = random_matrix(rng, m=100, n=4)
+        assert mcdm.topsis._chunk(100, 99 * 4) == 81  # two chunks: 81 removals, then 19
         assert leave_one_out(m, equal_weights(4)) == _leave_one_out_loop(
             m, equal_weights(4)
         )
@@ -558,7 +558,7 @@ class TestStackedLeaveOneOut:
     def test_matches_loop_with_small_chunks(self, case, budget):
         matrix, weights = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mcdm.sensitivity, "_CHUNK_ELEMENTS", budget)
+            patch.setattr(mcdm.topsis, "_CHUNK_ELEMENTS", budget)
             got = _outcome(lambda: leave_one_out(matrix, weights))
         assert got == _outcome(lambda: _leave_one_out_loop(matrix, weights))
 
@@ -584,7 +584,7 @@ class TestStackedLeaveOneOut:
         self, monkeypatch, budget, rows, error, message
     ):
         if budget is not None:
-            monkeypatch.setattr(mcdm.sensitivity, "_CHUNK_ELEMENTS", budget)
+            monkeypatch.setattr(mcdm.topsis, "_CHUNK_ELEMENTS", budget)
         m = new_matrix(["a", "b", "c", "d"], [Criterion("c1", B), Criterion("c2", C)], rows)
         with pytest.raises(error, match=message):
             leave_one_out(m, w(0.5, 0.5))

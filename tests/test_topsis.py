@@ -11,7 +11,7 @@ import mcdm.topsis
 from mcdm.topsis import (
     IdealPoints,
     _batch_topsis,
-    _grid_closeness,
+    _entry_bound,
     _grid_ranks,
     _grid_screen,
     _grid_terms,
@@ -502,11 +502,18 @@ def _outcome(ranks, *case):
         return DegenerateAlternative
 
 
+def _grid_closeness(unit, w, benefit):
+    """The product closeness and its per-entry bounds, each (k, m), of (k, n) weight rows."""
+    squares, errors = _grid_terms(unit, benefit)
+    s, c, _ = _grid_screen(squares, w * w)
+    return c.T, _entry_bound(errors, w * w, s).T
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(screen_case())
 def test_grid_closeness_is_within_its_bound_of_the_kernel(case):
     unit, w, benefit = case
-    c, eps = _grid_closeness(_grid_terms(unit, benefit), w)
+    c, eps = _grid_closeness(unit, w, benefit)
     for i in range(len(w)):
         try:
             kernel = _batch_topsis(unit, w[i : i + 1], benefit)[2][0]
@@ -525,7 +532,7 @@ def test_row_bound_covers_every_entry_and_the_kernel(case):
     unit, w, benefit = case
     terms = _grid_terms(unit, benefit)
     _, c, bound = _grid_screen(terms[0], w * w)
-    eps = _grid_closeness(terms, w)[1]
+    eps = _grid_closeness(unit, w, benefit)[1]
     finite = np.isfinite(bound)
     assert (bound[finite] >= eps[finite].max(axis=1)).all()
     for i in range(len(w)):
@@ -567,7 +574,7 @@ def test_near_ties_and_only_near_ties_reach_the_kernel(case, data):
     with pytest.MonkeyPatch.context() as patch:
         _, reached = _rows_reaching_kernel(patch, unit, w, benefit)
     c = _batch_topsis(unit, w, benefit)[2]
-    eps = _grid_closeness(_grid_terms(unit, benefit), w)[1]
+    eps = _grid_closeness(unit, w, benefit)[1]
     # A kernel gap above 4 eps leaves a product gap above 2 eps.
     clear = (np.diff(np.sort(c, axis=1), axis=1) > 4 * eps.max(axis=1, keepdims=True)).all(axis=1)
     assert not set(map(tuple, w[clear].tolist())) & set(reached)
