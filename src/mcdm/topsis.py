@@ -1,13 +1,15 @@
 """TOPSIS ranking engine: normalize, weight, ideal points, separations, rank.
 
 Vector normalization is the only normalization offered; separations use the
-Euclidean metric. Ranks come from one stable sort of each closeness row, so
-ties go to the earlier index. Sensitivity sweeps need only orders:
+Euclidean metric. The kernel ranks by one stable sort of each closeness row,
+so ties go to the earlier index. Sensitivity sweeps need only orders:
 ``_screened_order`` takes them from one matrix product per chunk of weight
-rows wherever a proven error bound, one per row (``_grid_screen``) or else one
-per entry (``_entry_bound``), shows they are the kernel's, and leaves the
-remaining, near-tied rows to the caller's kernel run. ``_grid_ranks`` and
-leave-one-out's removals both go through it.
+rows, ordering each row with one sort of packed keys (truncated closeness
+bits with the entry index in the low bits), wherever a proven error bound,
+one per row (``_grid_screen``) or else one per entry (``_entry_bound``),
+shows they are the kernel's, and leaves the remaining, near-tied rows to the
+caller's kernel run. ``_grid_ranks`` and leave-one-out's removals both go
+through it.
 """
 from __future__ import annotations
 
@@ -103,10 +105,12 @@ def _closeness(s_plus: np.ndarray, s_minus: np.ndarray) -> tuple[np.ndarray, np.
     return s_minus / np.where(undefined, 1.0, total), undefined
 
 
-def _ranks_from(order: np.ndarray) -> np.ndarray:
-    """Ranks 1..m from each row of ``order``, the row's indices best first."""
-    ranks = np.empty_like(order)
-    ranks[np.arange(len(order))[:, None], order] = np.arange(1, order.shape[1] + 1)
+def _ranks_from(order: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Ranks 1..m from each row of ``order``, the row's indices best first,
+    written into ``out``, a C-contiguous (k, m) array, if given."""
+    k, m = order.shape
+    ranks = np.empty((k, m), dtype=np.intp) if out is None else out
+    ranks.reshape(-1)[order + np.arange(k)[:, None] * m] = np.arange(1, m + 1)
     return ranks
 
 
@@ -375,31 +379,67 @@ def _screened_order(
     squares: np.ndarray, errors: np.ndarray, w2: np.ndarray, keep: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each (k, n) squared-weight row's entries best first, as entry indices,
-    from one ``_grid_screen`` product, and the rows that neither bound clears.
+    from one ``_grid_screen`` product, and the rows that no bound clears.
 
     A filter with an exact fallback, as in Shewchuk's adaptive predicates:
-    cheapest filter first, the tighter one next, exact evaluation last. A row
-    whose sorted product closeness values are all more than twice its row
-    bound apart has the kernel's strict order; its keys are all distinct, so
-    numpy's default (unstable) sort gives that order. A row the row bound
-    cannot clear is screened again with its entries' ``_entry_bound``, twice
-    the largest, and a row neither clears, including any whose closeness the
-    kernel leaves undefined, is returned as unsure: the caller ranks it
-    exactly. ``keep``, a (k, m') index, names the entries that take part in
-    each row (all, if None); the others are left out of the order and of
-    both tests, and their own values may overflow.
+    cheapest filter first, tighter ones next, exact evaluation last. A row
+    whose product closeness values are all more than twice its row bound
+    apart has the kernel's strict order. ``keep``, a (k, m) index, names the
+    m entries that take part in each row (all, if None); the others are left
+    out of the order and of every test, and their own values may overflow.
+
+    The first test needs no exact sort. Each key, a closeness in [0, 1] or
+    NaN, becomes one 64-bit word: its bits with the low b bits cleared,
+    b = max(1, bit length of m - 1), ORed with its entry index.
+    Nonnegative floats order as their bit patterns, so one sort of each
+    row's words, viewed as float64, orders the truncated keys t, ties to the
+    lower index; the low bits give the order and clearing them gives t.
+    Truncation lowers a key a in [0, 1] by less than 2^(b-53), and each
+    difference or subtraction below, of values within 1 of 0, rounds by at
+    most 2^-53. So with L = fl(min_i fl(t_(i+1) - t_i) - 2^(b-52)), for
+    adjacent entries in t's order
+        a_(i+1) - a_i > fl(t_(i+1) - t_i) - 2^-53 - 2^(b-53)
+                     >= L + 2^(b-52) - 2^-52 - 2^(b-53) >= L,
+    as b >= 1. The row bound is at least 4u, so where L > 2 bound every
+    exact gap is positive: t's order is the keys' strict order, and every
+    computed gap of the exactly sorted keys is at least L, so the exact test
+    would clear the row too, with this order. A NaN key stays NaN (its
+    quiet bit is above the low b), sorts last and makes L NaN, so its row is
+    not cleared.
+
+    A row the first test cannot clear gets the exact order (``np.argsort``)
+    and smallest gap of its sorted keys, against twice the row bound; a row
+    that fails that too is screened again with its entries'
+    ``_entry_bound``, twice the largest. A row none clears, including any
+    whose closeness the kernel leaves undefined, is returned as unsure: the
+    caller ranks it exactly. So every row is cleared, with its order, exactly
+    as the exact tests alone would clear it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s, c, bound = _grid_screen(squares, w2)
         keys = c.T if keep is None else np.take_along_axis(c.T, keep, axis=1)
-        order = np.argsort(keys, axis=1)[:, ::-1]
-        gap = np.diff(np.sort(keys, axis=1), axis=1).min(axis=1, initial=np.inf)
+        m = keys.shape[1]
+        bits = max(1, (m - 1).bit_length())
+        # C order: each row's words are contiguous for the in-place sort.
+        words = np.bitwise_and(keys.view(np.int64), -(1 << bits), order="C")
+        words |= np.arange(m)
+        words.view(np.float64).sort(axis=1)
+        order = words & ((1 << bits) - 1)
+        words ^= order
+        gap = np.diff(words.view(np.float64), axis=1).min(axis=1, initial=np.inf)
+        gap -= 2.0 ** (bits - 52)
         unsure = np.flatnonzero(~(gap > 2 * bound))
+        if len(unsure):
+            exact = keys[unsure]
+            order[unsure] = np.argsort(exact, axis=1)
+            gap[unsure] = np.diff(np.sort(exact, axis=1), axis=1).min(axis=1, initial=np.inf)
+            unsure = unsure[~(gap[unsure] > 2 * bound[unsure])]
         if len(unsure):
             eps = _entry_bound(errors, w2[unsure], s[:, unsure]).T
             if keep is not None:
                 eps = np.take_along_axis(eps, keep[unsure], axis=1)
             unsure = unsure[~(gap[unsure] > 2 * eps.max(axis=1))]
+    order = order[:, ::-1]
     return order if keep is None else np.take_along_axis(keep, order, axis=1), unsure
 
 
@@ -448,22 +488,25 @@ def _grid_ranks(unit: np.ndarray, weights: np.ndarray, benefit: np.ndarray) -> n
         rows = weights[start : start + chunk]
         order, unsure = _screened_order(squares, errors, rows * rows)
         out = ranks[start : start + chunk]
-        out[:] = _ranks_from(order) if groups is None else _expanded(order, *groups[1:])
+        if groups is None:
+            _ranks_from(order, out)
+        else:
+            _expanded(order, *groups[1:], out)
         if len(unsure):
             out[unsure] = _batch_topsis(unit, rows[unsure], benefit)[3]
     return ranks
 
 
 def _expanded(
-    order: np.ndarray, group: np.ndarray, within: np.ndarray, size: np.ndarray
+    order: np.ndarray, group: np.ndarray, within: np.ndarray, size: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Ranks of all alternatives from ``order``, each weight row's groups best
-    first (see ``_identical_rows``): a group's alternatives take consecutive
-    ranks in input order."""
+    """Ranks of all alternatives, written into ``out``, from ``order``, each
+    weight row's groups best first (see ``_identical_rows``): a group's
+    alternatives take consecutive ranks in input order."""
     sizes = size[order]
     ahead = np.empty_like(sizes)
     ahead[np.arange(len(order))[:, None], order] = np.cumsum(sizes, axis=1) - sizes
-    return ahead[:, group] + within + 1
+    return np.add(ahead[:, group], within + 1, out=out)
 
 
 def _benefit_mask(directions: Sequence[Direction]) -> np.ndarray:

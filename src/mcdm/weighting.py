@@ -113,8 +113,8 @@ def std_dev_weights(
     with np.errstate(over="ignore"):  # reported below
         variance = x.var(axis=0, ddof=1)
         sigma = np.sqrt(variance)
-        total = sigma.sum()
-    if not np.isfinite(total):
+    total = math.fsum(sigma)  # correctly rounded, so the criterion order cannot move it
+    if not math.isfinite(total):
         # A finite sigma is below 1.4e154, so n of them do not overflow.
         raise InvalidValue(
             _named(
@@ -160,7 +160,7 @@ def entropy_weights(matrix: DecisionMatrix) -> WeightVector:
     e = -plogp.sum(axis=0) / math.log(matrix.m)
     d = 1.0 - e
     d = np.where(np.abs(d) < 1e-12, 0.0, d)  # clamp fp noise on constant columns
-    total = d.sum()
+    total = math.fsum(d)  # correctly rounded, so the criterion order cannot move it
     if total <= 0:
         raise DegenerateMatrix("all columns carry zero information")
     return WeightVector(weights=tuple((d / total).tolist()), method="entropy")

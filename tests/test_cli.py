@@ -352,6 +352,21 @@ def test_rank_matches_golden_bytes(fmt, golden):
     assert proc.stdout == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        ((), "weights_table1.json"),
+        (("--weights", "entropy"), "weights_table1_entropy.json"),
+        (("--basis", "raw"), "weights_table1_raw.json"),
+    ],
+)
+def test_weights_match_golden_bytes(argv, golden):
+    # The bundled fixture; std_dev on the normalized basis by default.
+    proc = _run_process("weights", "--input", str(fixture_csv_path()), "--format", "json", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
+
+
 def test_cold_import_loads_no_scipy():
     # Every CLI call imports mcdm.repro; keep the heavy scipy import off that path.
     code = (

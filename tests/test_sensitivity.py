@@ -1006,3 +1006,60 @@ class TestCallCount:
     def test_leave_one_out(self, calls, rng):
         leave_one_out(random_matrix(rng, m=8, n=4), equal_weights(4))
         assert len(calls) <= 1
+
+
+def _grid_kernel(monkeypatch):
+    """Record how many weight rows ``_grid_ranks`` sends to the kernel."""
+    reached = []
+    real = mcdm.topsis._batch_topsis
+
+    def recording(unit, rows, benefit):
+        reached.append(len(rows))
+        return real(unit, rows, benefit)
+
+    monkeypatch.setattr(mcdm.topsis, "_batch_topsis", recording)
+    return reached
+
+
+class TestKernelFallbackCounts:
+    """How many grid rows and removals each sweep leaves to the kernel, pinned
+    on fixed inputs: a screen that clears fewer is slower, and one that
+    clears more than it did must show why it may."""
+
+    def _counts(self, monkeypatch, matrix):
+        with monkeypatch.context() as patch:
+            rows = _grid_kernel(patch)
+            rank_stability(matrix, equal_weights(matrix.n))
+        with monkeypatch.context() as patch:
+            removals = _removal_kernel(patch)
+            leave_one_out(matrix, equal_weights(matrix.n))
+        return sum(rows), len(removals)
+
+    def test_benchmark_matrices(self, monkeypatch):
+        # The benchmark sweeps the 200x10 grid and the 60x10 removals.
+        gen = _benchmark_generator()
+        counts = []
+        for seed in range(1, 21):
+            for stream, shape in (
+                ("sweep-stability", gen.STABILITY_SHAPE),
+                ("sweep-leave-one-out", gen.LEAVE_ONE_OUT_SHAPE),
+            ):
+                labels, criteria, values = gen.matrix_lists(seed, stream, *shape)
+                matrix = new_matrix(
+                    labels, [Criterion(name, Direction(d)) for name, d in criteria], values
+                )
+                counts.append(self._counts(monkeypatch, matrix))
+        assert counts == [(0, 0)] * 40
+
+    def test_near_duplicate_matrices(self, monkeypatch):
+        # One row is another times 1 + 1e-12: the pair is too close for the
+        # screen in most grid rows and in every removal that keeps both.
+        rows = removals = 0
+        for seed in range(1, 21):
+            x = np.random.default_rng(seed).uniform(0.5, 100.0, (50, 6))
+            x[1] = x[0] * (1 + 1e-12)
+            criteria = [Criterion(f"c{j}", (B, C)[j % 2]) for j in range(6)]
+            matrix = new_matrix([f"a{i}" for i in range(50)], criteria, x)
+            counts = self._counts(monkeypatch, matrix)
+            rows, removals = rows + counts[0], removals + counts[1]
+        assert (rows, removals) == (1108, 960)

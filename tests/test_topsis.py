@@ -16,6 +16,8 @@ from mcdm.topsis import (
     _grid_screen,
     _grid_terms,
     _ranks,
+    _ranks_from,
+    _screened_order,
     _unit_columns,
     apply_weights,
     closeness,
@@ -624,6 +626,147 @@ def test_grid_ranks_screen_columns_clustered_far_from_zero():
         assert np.array_equal(ranks, _batch_topsis(unit, w, benefit)[3])
         rows, reached = rows + len(w), reached + len(kernel_rows)
     assert reached < rows / 10
+
+
+def _argsort_screened_order(squares, errors, w2, keep=None):
+    """``_screened_order`` with every row's order and smallest gap taken
+    exactly, from an argsort and a second sort of its keys: the reference for
+    the rows that the packed sort clears and for the unsure rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, c, bound = mcdm.topsis._grid_screen(squares, w2)
+        keys = c.T if keep is None else np.take_along_axis(c.T, keep, axis=1)
+        order = np.argsort(keys, axis=1)[:, ::-1]
+        gap = np.diff(np.sort(keys, axis=1), axis=1).min(axis=1, initial=np.inf)
+        unsure = np.flatnonzero(~(gap > 2 * bound))
+        if len(unsure):
+            eps = mcdm.topsis._entry_bound(errors, w2[unsure], s[:, unsure]).T
+            if keep is not None:
+                eps = np.take_along_axis(eps, keep[unsure], axis=1)
+            unsure = unsure[~(gap[unsure] > 2 * eps.max(axis=1))]
+    return order if keep is None else np.take_along_axis(keep, order, axis=1), unsure
+
+
+def _same_as_argsort_order(squares, errors, w2, keep=None):
+    """Assert that ``_screened_order`` clears the reference's rows, with its
+    orders, and return the cleared rows."""
+    order, unsure = _screened_order(squares, errors, w2, keep)
+    want, want_unsure = _argsort_screened_order(squares, errors, w2, keep)
+    assert np.array_equal(unsure, want_unsure)
+    cleared = np.setdiff1d(np.arange(len(w2)), unsure)
+    assert np.array_equal(order[cleared], want[cleared])
+    return cleared
+
+
+def _dropping_one(m, k, rng):
+    """A (k, m - 1) ``keep`` index: each row's entries but one, in input order."""
+    return np.array([np.delete(np.arange(m), r) for r in rng.integers(0, m, k)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(screen_case(), st.integers(0, 2**32 - 1))
+def test_screened_order_clears_the_argsort_orders(case, seed):
+    unit, w, benefit = case
+    squares, errors = _grid_terms(unit, benefit)
+    _same_as_argsort_order(squares, errors, w * w)
+    if len(unit) > 1:
+        keep = _dropping_one(len(unit), len(w), np.random.default_rng(seed))
+        _same_as_argsort_order(squares, errors, w * w, keep)
+
+
+@st.composite
+def packed_keys(draw):
+    """(m, k) closeness keys built to stress the packed sort, with each row's
+    bound and each entry's bound.
+
+    A row steps up from an anchor (0.0, subnormals, the smallest normal,
+    ordinary values or 1.0) by a whole number of ulps near a multiple of
+    2^b, with b the packed index bits, each entry moved by up to 2^b - 1
+    ulps more, in index order, in reversed index order or shuffled; some
+    rows hold exact ties or a NaN. Most row bounds are the smallest, 4u.
+    """
+    # The first m with b = 1, ..., 6 index bits, and 1.
+    m, k = draw(st.sampled_from((1, 2, 3, 5, 9, 17, 33))), draw(st.integers(1, 6))
+    bits = max(1, (m - 1).bit_length())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    anchors = np.array([0.0, 5e-324, 1e-310, 2.0**-1022, 1e-3, 0.3, 0.5, 1 - 2.0**-20, 1.0])
+    one = np.float64(1.0).view(np.int64)
+    keys = np.empty((k, m))
+    for r in range(k):
+        # 2^b twice: one entry to each truncation bucket is the likeliest
+        # way for a truncated gap to overstate an exact one.
+        steps = [0, 1, 2**bits - 1, 2**bits, 2**bits, 2**bits + 1, 2 ** (bits + 1), 2 ** (bits + 2)]
+        step = steps[rng.integers(len(steps))]
+        offsets = np.arange(m) * step + rng.integers(0, 2**bits, m) * rng.integers(2)
+        arrangement = rng.integers(3)
+        if arrangement == 1:
+            offsets = offsets[::-1]
+        elif arrangement == 2:
+            rng.shuffle(offsets)
+        words = anchors[rng.integers(len(anchors))].view(np.int64) + offsets
+        words -= max(0, words.max() - one)  # at most 1.0
+        keys[r] = np.maximum(words, 0).view(np.float64)
+        if rng.uniform() < 0.2:
+            keys[r, rng.integers(m)] = keys[r, rng.integers(m)]
+        if rng.uniform() < 0.1:
+            keys[r, rng.integers(m)] = np.nan
+    bound = 4 * 2.0**-53 * 2.0 ** (rng.integers(0, 8, k) * (rng.uniform(size=k) < 0.3))
+    bound[rng.uniform(size=k) < 0.1] = np.inf
+    eps = np.maximum(bound * rng.uniform(0, 1, (m, k)), 4 * 2.0**-53)
+    return keys.T.copy(), bound, eps
+
+
+def _screen_keys(monkeypatch, keys, bound, eps):
+    """Make ``_screened_order`` see the (m, k) ``keys`` and their bounds; it
+    screens row r of the returned squared weights."""
+    m, k = keys.shape
+    rows = np.tile(np.arange(k, dtype=float), (2 * m, 1))  # separations that name their row
+    monkeypatch.setattr(mcdm.topsis, "_grid_screen", lambda squares, w2: (rows, keys, bound))
+    monkeypatch.setattr(
+        mcdm.topsis, "_entry_bound", lambda errors, w2, s: eps[:, s[0].astype(int)]
+    )
+    return np.zeros((k, 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(packed_keys(), st.integers(0, 2**32 - 1))
+def test_screened_order_clears_the_argsort_orders_of_packed_edge_keys(case, seed):
+    keys, bound, eps = case
+    m, k = keys.shape
+    with pytest.MonkeyPatch.context() as patch:
+        w2 = _screen_keys(patch, keys, bound, eps)
+        _same_as_argsort_order(None, None, w2)
+        if m > 1:
+            _same_as_argsort_order(None, None, w2, _dropping_one(m, k, np.random.default_rng(seed)))
+
+
+def test_screened_order_falls_back_to_the_exact_gap(monkeypatch):
+    # 17 entries pack their index into b = 5 low bits, so truncation moves a
+    # key in [0.5, 1) by up to 31 ulps (of 2^-53), and the packed gap test
+    # subtracts 64 ulps. Twice the smallest row bound, 4u, is 8 ulps.
+    ulp, u4, i = 2.0**-53, 4 * 2.0**-53, np.arange(17)
+    spread = np.random.default_rng(7).permutation(17) / 16
+    subnormal = np.where(spread == 0, 1e-310, spread)
+    reversed_ = 0.5 + 9 * (16 - i) * ulp  # 9 ulps apart, index 0 highest
+    truncated_apart = 0.5 + (32 * i + 31 * (i % 2 == 0)) * ulp  # truncated 32 apart, some 1 apart
+    tied = reversed_.copy()
+    tied[5] = tied[6]
+    with_nan = spread.copy()
+    with_nan[3] = np.nan
+    keys = np.array([spread, subnormal, reversed_, truncated_apart, tied, with_nan]).T.copy()
+    w2 = _screen_keys(monkeypatch, keys, np.full(6, u4), np.full(keys.shape, u4))
+    order, unsure = _screened_order(None, None, w2)
+    assert unsure.tolist() == [3, 4, 5]
+    descending = np.argsort(-spread)
+    assert order[:3].tolist() == [descending.tolist(), descending.tolist(), i.tolist()]
+    assert np.array_equal(_same_as_argsort_order(None, None, w2), [0, 1, 2])
+
+
+@pytest.mark.parametrize("k, m", [(0, 3), (3, 0), (0, 0), (2, 1)])
+def test_ranks_from_empty_and_single_rows(k, m):
+    order = np.tile(np.arange(m)[::-1], (k, 1))
+    ranks = _ranks_from(order)
+    assert ranks.shape == (k, m)
+    assert np.array_equal(ranks, np.tile(np.arange(m, 0, -1), (k, 1)))
 
 
 @pytest.mark.parametrize("rows", [[[0.0, 1.0]], [[0.5, 0.5], [0.0, 1.0]]])

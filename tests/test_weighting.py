@@ -360,3 +360,30 @@ def test_weightings_hold_python_floats(rng):
     for w in vectors:
         assert all(type(x) is float for x in w.weights), w
         assert "np." not in repr(w)
+
+
+@st.composite
+def permuted_matrix(draw):
+    """A positive matrix, its columns of varied scale, and a permutation of its criteria."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.5, 100.0, (m, n)) * 10.0 ** rng.integers(-3, 4, n)
+    return x, rng.permutation(n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(permuted_matrix())
+def test_permuting_the_criteria_permutes_the_weights_bit_for_bit(case):
+    # Weights are totalled with math.fsum, so no summation order can move a bit.
+    x, perm = case
+    labels = [f"a{i}" for i in range(len(x))]
+    criteria = [Criterion(f"c{j}", B) for j in range(x.shape[1])]
+    matrix = new_matrix(labels, criteria, x)
+    permuted = new_matrix(labels, [criteria[j] for j in perm], x[:, perm])
+    for weigh in (
+        lambda mx: std_dev_weights(mx, Basis.VECTOR_NORMALIZED),
+        lambda mx: std_dev_weights(mx, Basis.RAW),
+        entropy_weights,
+    ):
+        want = np.array(weigh(matrix).weights)[perm]
+        assert np.array_equal(np.array(weigh(permuted).weights).view(np.int64), want.view(np.int64))
