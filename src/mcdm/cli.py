@@ -40,6 +40,8 @@ def _read_input(path: str | None) -> str:
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CliError(f"input file is not UTF-8: {path} (byte {exc.start})") from None
+    except OSError as exc:
+        raise CliError(f"cannot read input file: {path}: {exc.strerror}") from None
 
 
 def _resolve_weights(spec: str, matrix: DecisionMatrix, basis: Basis) -> WeightVector:

@@ -253,13 +253,20 @@ def _screened_orders(
     w: np.ndarray,
     benefit: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_stacked_orders``, with the kernel run only on the removals that
-    ``_screened_order`` cannot clear over their survivors (near-ties, ties,
-    duplicate and degenerate survivors).
+    """``_stacked_orders`` under the (1, n) weight row ``w``, with the kernel
+    run only on the removals that ``_screened_order`` cannot clear over their
+    survivors: near-ties, ties, duplicate and degenerate survivors, and the
+    NaN factor rows of ``_removal_terms``, so the first removal that cannot
+    be normalized raises the kernel's error.
+
+    Each removal's squared weight row is tiled w times (tiled w times its
+    factor row), not w^2 times the factor: a subnormal w^2 would lose too
+    much in that product.
     """
-    squares, errors, rows = terms
+    squares, errors, factors = terms
     survivors = _survivors(matrix.m, removed)
-    ranked, unsure = _screened_order(squares, errors, rows[removed], survivors)
+    w3 = np.tile(w, 3)
+    ranked, unsure = _screened_order(squares, errors, w3 * (w3 * factors[removed]), survivors)
     degenerate = np.zeros(len(removed), dtype=bool)
     if len(unsure):
         ranked[unsure], degenerate[unsure] = _stacked_orders(matrix, removed[unsure], w, benefit)
@@ -329,11 +336,13 @@ def leave_one_out(
 
     Weights stay fixed by default, isolating pure TOPSIS rank reversal;
     pass ``reweight`` to recompute data-driven weights on each reduced matrix.
-    With fixed weights, every removal is screened from one product over the
-    full matrix (``_removal_terms``), and only those the screen cannot clear
-    are ranked by the kernel; if a removal's column norms are near the range
-    the kernel accepts, every removal is ranked by the kernel, so the first
-    that cannot be normalized raises.
+    Every removal is screened from one product over the full matrix's
+    weight-free terms (``_removal_terms``) under its weights, and only those
+    the screen cannot clear are ranked by the kernel on the reduced matrix;
+    a removal whose column norms are near the range the kernel accepts is
+    among them, so the first that cannot be normalized raises. A reweighted
+    removal has weights of its own, so it is screened alone, after its
+    ``reweight`` call.
     """
     if matrix.m < 3:
         raise TooFewAlternatives("leave-one-out needs at least three alternatives")
@@ -341,8 +350,7 @@ def leave_one_out(
     baseline = topsis_rank(matrix, weights).rank
     benefit = _benefit_mask(matrix.directions)
     w = weights.to_array()[None, :]
-    # A reweighted removal has weights of its own, so it is ranked alone.
-    terms = None if reweight is not None else _removal_terms(matrix.values, w[0], benefit)
+    terms = _removal_terms(matrix.values, benefit)
     chunk = 1 if reweight is not None else _chunk(m, (m - 1) * matrix.n)
     effects = []
     for start in range(0, m, chunk):
@@ -353,10 +361,9 @@ def leave_one_out(
                 np.delete(matrix.values, start, axis=0),
             )
             w = reweight(reduced).to_array()[None, :]
+            if w.shape[1] != matrix.n:
+                raise DimensionMismatch("weight count does not match criterion count")
         removed = np.arange(start, min(start + chunk, m))
-        if terms is None:
-            orders = _stacked_orders(matrix, removed, w, benefit)
-        else:
-            orders = _screened_orders(matrix, terms, removed, w, benefit)
+        orders = _screened_orders(matrix, terms, removed, w, benefit)
         effects += _removal_effects(matrix.alternatives, baseline, removed, *orders)
     return LeaveOneOutReport(effects=tuple(effects))

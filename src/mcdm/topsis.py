@@ -187,11 +187,10 @@ def _grid_terms(unit: np.ndarray, benefit: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _removal_terms(
-    x: np.ndarray, w: np.ndarray, benefit: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    x: np.ndarray, benefit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_grid_screen``'s terms for removing each row of the (m, n) matrix ``x``
-    in turn, under the weights ``w``, or None where a removal's squared column
-    norm is not safely inside the range ``_unit_columns`` accepts.
+    in turn, with one weight-free factor row per removal.
 
     Removal r is the full unit matrix u = x / N without row r, under the
     weights v_rj = w_j N_j / N'_rj, with N'_rj^2 the column's squares summed
@@ -201,41 +200,39 @@ def _removal_terms(
     argmin): there it is the second value of the sorted column, equal to the
     first on a tie. Over 3n columns, the ideal block holds d^2 against
     [first ideal, second ideal, first ideal] and the anti-ideal block against
-    [first anti, first anti, second anti]. Removal r's squared weight row is
-    v^2 in the first third where r holds neither point, in the second where
-    it holds the ideal and in the third where it holds the anti-ideal (row 0
-    holds both of a constant column, where every d is 0), and 0 elsewhere.
+    [first anti, first anti, second anti]. Removal r's factor row holds
+    N^2 / N'_r^2 in the first third where r holds neither point, in the second
+    where it holds the ideal and in the third where it holds the anti-ideal
+    (row 0 holds both of a constant column, where every d is 0), and 0
+    elsewhere; tiled w times (tiled w times it) is r's squared weight row v^2.
 
     Returns the (2m + 2, 3n) ``squares`` and (2m, 3n) ``errors`` of ``_terms``,
     with E_ij = 32 u |d| (u_ij + a_j) + 12 (n + m + 4) u d^2 + 256 u^2 (derived
-    in ``_entry_bound``'s docstring), and the C-contiguous (m, 3n) squared
-    weight rows, row r for removal r.
+    in ``_entry_bound``'s docstring), and the C-contiguous (m, 3n) factor
+    rows, row r for removal r.
 
     The kernel's reduced squared norm and the prefix plus suffix sum are each
     within gamma_(m-1) of the exact sum, and underflowing squares lose at most
     m 2^-1075 more, so they differ by less than 3 m u of either where both are
     at least tiny. A sum outside [tiny (1 + 4 m u), huge / (1 + 4 m u)] could
-    take the kernel out of range, so it returns None, as it does where a
-    squared weight is not finite.
+    take the kernel out of range, so that removal's whole factor row is NaN,
+    as it is where its ratio is not finite: no screen clears a NaN row.
     """
     m, n = x.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range sums are rejected below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NaN rows, below
         square = x * x
         ahead = np.cumsum(square, axis=0)
         behind = np.cumsum(square[::-1], axis=0)[::-1]
         reduced = np.empty_like(square)
         reduced[0], reduced[-1] = behind[1], ahead[-2]
         np.add(ahead[:-2], behind[2:], out=reduced[1:-1])
-        margin = 1 + 4 * m * _U
-        if not ((reduced >= _TINY * margin) & (reduced <= _HUGE / margin)).all():
-            return None
         total = ahead[-1]
-        # Not w^2 times the factor: a subnormal w^2 would lose too much in that product.
-        v2 = w * (w * (total / reduced))
-        if not np.isfinite(v2).all():
-            return None
-    unit = x / np.sqrt(total)
-    ordered = np.sort(unit, axis=0)
+        ratio = total / reduced
+        margin = 1 + 4 * m * _U
+        fit = (reduced >= _TINY * margin) & (reduced <= _HUGE / margin) & np.isfinite(ratio)
+        ratio[~fit.all(axis=1)] = np.nan
+        unit = x / np.sqrt(total)
+        ordered = np.sort(unit, axis=0)
     first = np.stack(_ideal(ordered[-1], ordered[0], benefit))
     second = np.stack(_ideal(ordered[-2], ordered[1], benefit))
     holder = np.stack(_ideal(unit.argmax(axis=0), unit.argmin(axis=0), benefit))
@@ -245,8 +242,8 @@ def _removal_terms(
     points[1, 2 * n :] = second[1]
     squares, errors = _terms(np.tile(unit, 3), points[:, None, :], 32, 12 * (n + m + 4), 256)
     neither = ~(holds[:, 0] | holds[:, 1])
-    rows = np.concatenate([v2 * neither, v2 * holds[:, 0], v2 * holds[:, 1]], axis=1)
-    return squares, errors, rows
+    factors = np.concatenate([ratio * neither, ratio * holds[:, 0], ratio * holds[:, 1]], axis=1)
+    return squares, errors, factors
 
 
 def _grid_screen(

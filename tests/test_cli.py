@@ -238,6 +238,19 @@ def test_missing_input(capsys):
     assert err.startswith("error: ")
 
 
+def test_unreadable_input_is_one_line_error(capsys, monkeypatch):
+    # Root reads a mode-000 file, so the read itself is made to fail.
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    path = fixture_csv_path()
+    code, out, err = run_cli(capsys, "rank", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot read input file: {path}: Permission denied\n"
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["rank", "--format", "bogus"])

@@ -20,6 +20,8 @@ from mcdm.errors import (
     ZeroColumn,
 )
 from mcdm.model import WEIGHT_SUM_TOL, Criterion, Direction, WeightVector, new_matrix
+from mcdm.reporting import export_json
+from mcdm.repro import builtin_fixture
 from mcdm.sensitivity import (
     _FEASIBILITY_EPS,
     CriterionSweep,
@@ -46,13 +48,14 @@ from mcdm.topsis import (
     _unit_columns,
     topsis_rank,
 )
-from mcdm.weighting import equal_weights, std_dev_weights
+from mcdm.weighting import entropy_weights, equal_weights, std_dev_weights
 
 from .conftest import random_matrix
 from .test_topsis import SCREEN_KINDS, screen_values
 
 B = Direction.BENEFIT
 C = Direction.COST
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def w(*values):
@@ -748,21 +751,31 @@ class TestRemovalScreen:
         matrix = new_matrix([f"a{i}" for i in range(m)], criteria, x)
         removed = np.arange(m)
         survivors = _survivors(m, removed)
-        terms = _removal_terms(x, w, benefit)
-        try:
-            unit = _unit_columns(x[survivors], criteria)
-        except (InvalidValue, ZeroColumn):
-            assert terms is None  # the whole call takes the kernel's path and raises
+        terms = _removal_terms(x, benefit)
+        squares, errors, factors = terms
+        unfit = []
+        for r in range(m):
+            try:
+                _unit_columns(x[survivors[r]], criteria)
+            except (InvalidValue, ZeroColumn):
+                unfit.append(r)
+        # A removal that cannot be normalized is never screened: the kernel raises.
+        assert np.isnan(factors[unfit]).all()
+        if unfit:
             return
-        assume(terms is not None)
+        unit = _unit_columns(x[survivors], criteria)
         kernel, undefined = _closeness(*_separations(unit, w[None], benefit))
-        squares, errors, rows = terms
+        w3 = np.tile(w, 3)
+        rows = w3 * (w3 * factors)
         with np.errstate(over="ignore", invalid="ignore"):
             s, c, bound = _grid_screen(squares, rows)
             eps = _entry_bound(errors, rows, s)
         c = np.take_along_axis(c.T, survivors, axis=1)
         eps = np.take_along_axis(eps.T, survivors, axis=1)
         for r in range(m):
+            if np.isnan(factors[r]).any():
+                assert np.isnan(factors[r]).all()  # near the range's edge: left to the kernel
+                continue
             if undefined[r].any():
                 assert np.isinf(bound[r]) and np.isinf(eps[r][undefined[r]]).all()
                 continue
@@ -771,6 +784,17 @@ class TestRemovalScreen:
         got = _screened_orders(matrix, terms, removed, w[None], benefit)
         want = _stacked_orders(matrix, removed, w[None], benefit)
         assert all(np.array_equal(g, x) for g, x in zip(got, want))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(removal_case(), st.sampled_from([None, std_dev_weights, entropy_weights]))
+    def test_matches_loop(self, case, reweight):
+        x, weights, benefit = case
+        criteria = [Criterion(f"c{j}", B if b else C) for j, b in enumerate(benefit)]
+        matrix = new_matrix([f"a{i}" for i in range(len(x))], criteria, x)
+        weights = w(*weights.tolist())
+        assert _outcome(lambda: leave_one_out(matrix, weights, reweight)) == _outcome(
+            lambda: _leave_one_out_loop(matrix, weights, reweight)
+        )
 
     def test_no_benchmark_removal_reaches_the_kernel(self, monkeypatch):
         gen = _benchmark_generator()
@@ -814,10 +838,12 @@ class TestRemovalScreen:
         # normal number: the kernel accepts it, but the screen keeps no margin.
         rows = [[2.0**-511, 1.0], [0.0, 2.0], [5.0, 3.0], [0.0, 1.0]]
         m = new_matrix(["a", "b", "c", "d"], [Criterion("c1", B), Criterion("c2", C)], rows)
-        assert _removal_terms(m.values, np.array([0.5, 0.5]), np.array([True, False])) is None
+        factors = _removal_terms(m.values, np.array([True, False]))[2]
+        assert np.isnan(factors[2]).all() and not np.isnan(factors[[0, 1, 3]]).any()
         reached = _removal_kernel(monkeypatch)
         assert leave_one_out(m, w(0.5, 0.5)) == _leave_one_out_loop(m, w(0.5, 0.5))
-        assert reached == [0, 1, 2, 3]
+        # "c" at the edge, and "b", whose survivors "a" and "d" nearly tie.
+        assert reached == [1, 2]
         # One ulp less, and that squared norm is subnormal: the kernel's error.
         rows[0][0] = np.nextafter(2.0**-511, 0)
         m = new_matrix(["a", "b", "c", "d"], [Criterion("c1", B), Criterion("c2", C)], rows)
@@ -983,6 +1009,19 @@ class TestReweight:
         assert [e.reversed_pairs for e in reweighted.effects] == [(), (), (("a", "b"),)]
 
 
+@pytest.mark.parametrize(
+    "reweight, golden",
+    [
+        (None, "leave_one_out_table1.json"),
+        (std_dev_weights, "leave_one_out_table1_reweighted.json"),
+    ],
+)
+def test_leave_one_out_matches_golden_bytes(reweight, golden):
+    fixture = builtin_fixture()
+    report = leave_one_out(fixture, std_dev_weights(fixture), reweight)
+    assert export_json(report).encode() == (GOLDEN / golden).read_bytes()
+
+
 class TestCallCount:
     """The sweeps evaluate the grid in batches; topsis_rank runs only for the baseline."""
 
@@ -1035,10 +1074,17 @@ class TestKernelFallbackCounts:
             leave_one_out(matrix, equal_weights(matrix.n))
         return sum(rows), len(removals)
 
+    def _reweighted(self, monkeypatch, matrix):
+        """Removals left to the kernel when each is reweighted by std-dev."""
+        with monkeypatch.context() as patch:
+            removals = _removal_kernel(patch)
+            leave_one_out(matrix, equal_weights(matrix.n), reweight=std_dev_weights)
+        return len(removals)
+
     def test_benchmark_matrices(self, monkeypatch):
         # The benchmark sweeps the 200x10 grid and the 60x10 removals.
         gen = _benchmark_generator()
-        counts = []
+        counts, reweighted = [], 0
         for seed in range(1, 21):
             for stream, shape in (
                 ("sweep-stability", gen.STABILITY_SHAPE),
@@ -1049,12 +1095,14 @@ class TestKernelFallbackCounts:
                     labels, [Criterion(name, Direction(d)) for name, d in criteria], values
                 )
                 counts.append(self._counts(monkeypatch, matrix))
+            reweighted += self._reweighted(monkeypatch, matrix)  # the 60x10 matrix
         assert counts == [(0, 0)] * 40
+        assert reweighted == 0  # of 1200 removals
 
     def test_near_duplicate_matrices(self, monkeypatch):
         # One row is another times 1 + 1e-12: the pair is too close for the
         # screen in most grid rows and in every removal that keeps both.
-        rows = removals = 0
+        rows = removals = reweighted = 0
         for seed in range(1, 21):
             x = np.random.default_rng(seed).uniform(0.5, 100.0, (50, 6))
             x[1] = x[0] * (1 + 1e-12)
@@ -1062,4 +1110,6 @@ class TestKernelFallbackCounts:
             matrix = new_matrix([f"a{i}" for i in range(50)], criteria, x)
             counts = self._counts(monkeypatch, matrix)
             rows, removals = rows + counts[0], removals + counts[1]
+            reweighted += self._reweighted(monkeypatch, matrix)
         assert (rows, removals) == (1108, 960)
+        assert reweighted == 960  # of 1000 removals
